@@ -32,8 +32,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONSERVATION = 3
 
+# FloatingPointError: a model whose finite weights still overflow to a
+# non-finite relevance sum.
 _INPUT_ERRORS = (ModelError, ImageFormatError, GraphExecutionError, ValueError,
-                 LookupError, OSError)
+                 LookupError, OSError, FloatingPointError)
 
 
 class CliError(Exception):
@@ -153,9 +155,10 @@ def _image_paths(job: JobConfig) -> list[Path]:
     return paths
 
 
-def _resolve_class(job: JobConfig, probs: np.ndarray, num_classes: int) -> int:
+def _explicit_class(job: JobConfig, num_classes: int) -> int | None:
+    """The --class index, or None for 'auto' (the argmax of the image's forward)."""
     if job.class_spec == "auto":
-        return int(np.argmax(probs))  # argmax takes the lowest index on ties
+        return None
     c = int(job.class_spec)
     if not 0 <= c < num_classes:
         raise CliError(f"--class {c} out of range for {num_classes} classes")
@@ -191,10 +194,9 @@ def cmd_infer(job: JobConfig) -> int:
 def _explain_one(graph: ModelGraph, job: JobConfig, path: Path
                  ) -> tuple[ImageSample, int, lrp.AttributionMap, lrp.RelevanceState]:
     sample = load_ppm(path, graph.preprocess)
-    probs = run_forward(graph, sample.normalized)
-    c = _resolve_class(job, probs, graph.num_classes)
+    c = _explicit_class(job, graph.num_classes)
     amap, state = lrp.explain(graph, sample, c, job.rule_config)
-    return sample, c, amap, state
+    return sample, state.class_index, amap, state
 
 
 def cmd_explain(job: JobConfig) -> int:
@@ -222,20 +224,19 @@ def cmd_explain(job: JobConfig) -> int:
 
 def _curves_for_image(graph: ModelGraph, job: JobConfig, path: Path
                       ) -> tuple[int, ev.EvalCurve, ev.EvalCurve]:
-    sample = load_ppm(path, graph.preprocess)
     if job.recompute:
-        probs = run_forward(graph, sample.normalized)
-        c = _resolve_class(job, probs, graph.num_classes)
-        amap, _ = lrp.explain(graph, sample, c, job.rule_config)
+        sample, c, amap, _ = _explain_one(graph, job, path)
     else:
+        sample = load_ppm(path, graph.preprocess)
         raw = read_map_csv(job.attribution)
         if raw.shape != sample.normalized.shape[1:]:
             raise CliError(f"attribution {raw.shape} does not match image "
                            f"{sample.normalized.shape[1:]}")
         amap = lrp.AttributionMap(raw=raw, quantized=None, quantize_mode="off",
                                   bins=job.rule_config.bins)
-        probs = run_forward(graph, sample.normalized)
-        c = _resolve_class(job, probs, graph.num_classes)
+        c = _explicit_class(job, graph.num_classes)
+        if c is None:
+            c = int(np.argmax(run_forward(graph, sample.normalized)))
     ins = ev.curve(graph, sample, amap, c, "insertion", job.steps)
     dele = ev.curve(graph, sample, amap, c, "deletion", job.steps)
     return c, ins, dele

@@ -137,7 +137,10 @@ def read_map_csv(path: str | Path) -> np.ndarray:
         rows.append([float(v) for v in line.split(",")])
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: malformed attribution CSV")
-    return np.asarray(rows, dtype=np.float64)
+    values = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: attribution CSV holds NaN or infinite values")
+    return values
 
 
 def write_attribution(amap: "AttributionMap", out_prefix: str | Path) -> list[Path]:

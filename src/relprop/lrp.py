@@ -95,6 +95,7 @@ class RelevanceState:
 
     current: np.ndarray
     checkpoint_sums: list[tuple[str, float]] = field(default_factory=list)
+    class_index: int | None = None      # the class whose probability was seeded
 
     def record(self, label: str, r: np.ndarray) -> None:
         total = float(np.sum(r, dtype=np.float64))
@@ -200,7 +201,11 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         xpad[:, padding:padding + x.shape[1], padding:padding + x.shape[2]] = x
     else:
         xpad = x
-    cols = ops.im2col(xpad, k, stride, out_h, out_w)        # (C_in*k*k, L)
+    pointwise = ops.is_pointwise(k, stride, padding)
+    if pointwise:
+        cols = x.reshape(c_in, -1)
+    else:
+        cols = ops.im2col(xpad, k, stride, out_h, out_w)    # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
     if rule == "zplus":
@@ -208,18 +213,22 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         denom = wmat @ cols                                  # (C_out, L)
         live = denom != 0.0
         ratio = np.where(live, r_flat / np.where(live, denom, 1.0), 0.0)
-        r_cols = cols * (wmat.T @ ratio)
-        r_in = ops.col2im_add(r_cols, x.shape, k, stride, padding)
         dead_total = float(r_flat[~live].sum())
-        if dead_total != 0.0:
-            r_in += dead_total / x.size
-        return r_in
-    if rule == "epsilon":
+    elif rule == "epsilon":
         wmat = weight.reshape(c_out, -1)
-        denom = _eps_stabilize(wmat @ cols, epsilon)
-        r_cols = cols * (wmat.T @ (r_flat / denom))
-        return ops.col2im_add(r_cols, x.shape, k, stride, padding)
-    raise ValueError(f"unknown rule {rule!r}")
+        ratio = r_flat / _eps_stabilize(wmat @ cols, epsilon)
+        dead_total = 0.0
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    r_cols = cols * (wmat.T @ ratio)
+    if pointwise:
+        r_in = r_cols.reshape(x.shape)
+        r_in += 0.0  # col2im_add accumulates onto +0.0, which turns -0.0 into +0.0
+    else:
+        r_in = ops.col2im_add(r_cols, x.shape, k, stride, padding)
+    if dead_total != 0.0:
+        r_in += dead_total / x.size
+    return r_in
 
 
 def lrp_maxpool(indices: np.ndarray, r_out, input_shape) -> np.ndarray:
@@ -397,13 +406,17 @@ def block_input_label(block_index: int) -> str:
     return f"block_{block_index}_input"
 
 
-def explain(graph: ModelGraph, sample: ImageSample, class_index: int,
+def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = None,
             config: RuleConfig = RuleConfig()) -> tuple[AttributionMap, RelevanceState]:
     """Forward the sample, then propagate relevance for ``class_index`` back to
     the pixels. Records conservation checkpoints at the seed, at every block
     input, and at the network input.
+
+    With ``class_index=None`` the class is the argmax of this forward's
+    probabilities (lowest index on ties). The class used is returned as
+    ``state.class_index``.
     """
-    if not 0 <= class_index < graph.num_classes:
+    if class_index is not None and not 0 <= class_index < graph.num_classes:
         raise ValueError(f"class {class_index} out of range for "
                          f"{graph.num_classes} classes")
     if config.rule == "mixture" and config.mixture_boundary > len(graph.blocks):
@@ -411,8 +424,10 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int,
                          f"{len(graph.blocks)} blocks")
 
     trace: ForwardTrace = run_forward(graph, sample.normalized, want_trace=True)
+    if class_index is None:
+        class_index = int(np.argmax(trace.probs))
     r = seed_relevance(trace.probs, class_index)
-    state = RelevanceState(current=r)
+    state = RelevanceState(current=r, class_index=class_index)
     state.record(CHECKPOINT_SEED, r)
 
     head_rule = config.rule_for_head()

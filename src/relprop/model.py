@@ -37,6 +37,10 @@ class TensorShapeMismatchError(ModelError):
     """A tensor file's element count disagrees with its declared shape."""
 
 
+class NonFiniteTensorError(ModelError):
+    """A tensor file holds a NaN or an infinity."""
+
+
 class DanglingTensorNameError(ModelError):
     """A node references a tensor name absent from the manifest."""
 
@@ -332,6 +336,10 @@ def _load_tensor_file(path: Path, shape: tuple[int, ...], name: str) -> np.ndarr
         raise TensorShapeMismatchError(f"tensor {name}: file holds {len(data) // 4} "
                                        f"values, shape {list(shape)} needs {count}")
     arr = np.frombuffer(data, dtype="<f4").reshape(shape)
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise NonFiniteTensorError(f"tensor {name}: {bad} of {count} values are "
+                                   "NaN or infinite")
     return np.ascontiguousarray(arr).astype(np.float32, copy=False)
 
 

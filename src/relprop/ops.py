@@ -52,6 +52,11 @@ def conv_output_extent(extent: int, k: int, stride: int, padding: int, axis: str
     return span // stride + 1
 
 
+def is_pointwise(k: int, stride: int, padding: int) -> bool:
+    """A 1x1, stride-1, unpadded conv: a plain GEMM on the C x (H*W) map."""
+    return k == 1 and stride == 1 and padding == 0
+
+
 def _pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
     if padding == 0:
         return x
@@ -112,7 +117,10 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     out_h = conv_output_extent(x.shape[1], kh, stride, padding, "height")
     out_w = conv_output_extent(x.shape[2], kw, stride, padding, "width")
 
-    cols = im2col(_pad2d(x, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
+    if is_pointwise(kh, stride, padding):
+        cols = x.reshape(c_in, -1).astype(np.float64)
+    else:
+        cols = im2col(_pad2d(x, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:
         bias = _as_f32(bias)
@@ -128,7 +136,8 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     """Max pooling; returns (pooled map, winner flat-offsets into the input).
 
     Padding cells count as -inf and can never win; a window made entirely of
-    padding is an error. Ties go to the lowest flat offset.
+    padding is an error. Ties go to the lowest flat offset, and a NaN in a
+    window wins over every number in it.
     """
     x = _as_f32(x)
     if x.ndim != 3:
@@ -137,20 +146,38 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     out_h = conv_output_extent(h, k, stride, padding, "height")
     out_w = conv_output_extent(w, k, stride, padding, "width")
 
+    # One strided view per window offset, in flat-offset order.
     xpad = _pad2d(x, padding, np.float32(-np.inf))
-    win = sliding_window_view(xpad, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    flat_win = win.reshape(c, out_h, out_w, k * k)
-    arg = flat_win.argmax(axis=-1)
-    out = np.take_along_axis(flat_win, arg[..., None], axis=-1)[..., 0]
-    if np.isneginf(out).any():
+    views = [xpad[:, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride]
+             for di in range(k) for dj in range(k)]
+    best = views[0].copy()
+    for v in views[1:]:
+        np.maximum(best, v, out=best)
+    if np.isneginf(best).any():
         raise ValueError("maxpool window lies entirely in padding")
 
-    di, dj = arg // k, arg % k
-    rows = (np.arange(out_h) * stride - padding)[None, :, None] + di
-    cols = (np.arange(out_w) * stride - padding)[None, None, :] + dj
-    chan = np.arange(c, dtype=np.int64)[:, None, None]
-    indices = chan * (h * w) + rows.astype(np.int64) * w + cols.astype(np.int64)
-    return np.ascontiguousarray(out), np.ascontiguousarray(indices)
+    # The winner is the first view that attains the max (or holds a NaN, which
+    # np.maximum propagates). Branch-free: masked writes are slower here.
+    nan = bool(np.isnan(best).any())
+
+    def attains(v: np.ndarray) -> np.ndarray:
+        return (v == best) | np.isnan(v) if nan else v == best
+
+    wdt = np.min_scalar_type(k * k - 1)
+    win = np.zeros(best.shape, dtype=wdt)
+    found = attains(views[0])
+    for i in range(1, k * k):
+        hit = attains(views[i])
+        win += (hit > found) * wdt.type(i)     # hit here, in no earlier view
+        found |= hit
+
+    offsets = (np.arange(k, dtype=np.int64)[:, None] * w + np.arange(k)).ravel()
+    corner = (np.arange(c, dtype=np.int64)[:, None, None] * (h * w)
+              + (np.arange(out_h, dtype=np.int64) * stride - padding)[:, None] * w
+              + (np.arange(out_w, dtype=np.int64) * stride - padding))
+    indices = corner + np.take(offsets, win)
+    # Read the winners back so a tie between -0.0 and +0.0 keeps the winner's sign.
+    return np.take(x, indices), indices
 
 
 def gap_forward(x) -> np.ndarray:

@@ -3,9 +3,17 @@
 Everything here deliberately takes the slow, obvious route: materialize the
 full share matrix of each linear projection, normalize its rows, and multiply.
 No code is shared with the propagation paths under test.
+
+The kernel references at the end are the engine's earlier implementations of
+max pooling (argmax over copied windows) and of the 1x1 conv (through
+im2col/col2im_add, which the 1x1 paths under test skip). The faster kernels
+must match them bit for bit.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from relprop import ops
 
 
 def share_matrix_lrp(h, weight, r_out, rule="zplus", epsilon=1e-6):
@@ -129,3 +137,62 @@ def fc_oracle_explain(graph, x0, class_index):
     for mat, h in zip(reversed(mats), reversed(acts)):
         r = share_matrix_lrp(h.astype(np.float64), mat, r, rule="zplus")
     return r, probs
+
+
+def maxpool_argmax_reference(x, k, stride, padding=0):
+    """Max pooling by argmax over a copy of every window; ties to the lowest
+    window offset, a NaN wins its window."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    c, h, w = x.shape
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    xpad = np.full((c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=np.float32)
+    xpad[:, padding:padding + h, padding:padding + w] = x
+    win = sliding_window_view(xpad, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    flat_win = win.reshape(c, out_h, out_w, k * k)
+    arg = flat_win.argmax(axis=-1)
+    out = np.take_along_axis(flat_win, arg[..., None], axis=-1)[..., 0]
+    if np.isneginf(out).any():
+        raise ValueError("maxpool window lies entirely in padding")
+    di, dj = arg // k, arg % k
+    rows = (np.arange(out_h) * stride - padding)[None, :, None] + di
+    cols = (np.arange(out_w) * stride - padding)[None, None, :] + dj
+    chan = np.arange(c, dtype=np.int64)[:, None, None]
+    indices = chan * (h * w) + rows.astype(np.int64) * w + cols.astype(np.int64)
+    return np.ascontiguousarray(out), np.ascontiguousarray(indices)
+
+
+def conv1x1_im2col_reference(x, weight, bias=None):
+    """Forward 1x1, stride-1, unpadded conv through im2col."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    c_out = weight.shape[0]
+    _, h, w = x.shape
+    cols = ops.im2col(x.astype(np.float64), 1, 1, h, w)
+    y = np.asarray(weight, dtype=np.float64).reshape(c_out, -1) @ cols
+    if bias is not None:
+        y += np.asarray(bias, dtype=np.float64)[:, None]
+    return y.reshape(c_out, h, w).astype(np.float32)
+
+
+def lrp_conv1x1_im2col_reference(x, weight, r_out, rule="zplus", epsilon=1e-6):
+    """Backward relevance through a 1x1, stride-1, unpadded conv through
+    im2col and col2im_add."""
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    c_out = weight.shape[0]
+    cols = ops.im2col(x, 1, 1, x.shape[1], x.shape[2])
+    r_flat = np.asarray(r_out, dtype=np.float64).reshape(c_out, -1)
+    if rule == "zplus":
+        wmat = np.maximum(weight, 0.0).reshape(c_out, -1)
+        denom = wmat @ cols
+        live = denom != 0.0
+        ratio = np.where(live, r_flat / np.where(live, denom, 1.0), 0.0)
+        r_in = ops.col2im_add(cols * (wmat.T @ ratio), x.shape, 1, 1, 0)
+        dead_total = float(r_flat[~live].sum())
+        if dead_total != 0.0:
+            r_in += dead_total / x.size
+        return r_in
+    wmat = weight.reshape(c_out, -1)
+    denom = wmat @ cols
+    denom = denom + epsilon * np.where(denom < 0, -1.0, 1.0)
+    return ops.col2im_add(cols * (wmat.T @ (r_flat / denom)), x.shape, 1, 1, 0)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from relprop import cli
+from relprop import cli, lrp
+from relprop import evaluate as ev
 from relprop.image import write_ppm
-from relprop.model import generate_toy_resnet, save_model
+from relprop.model import ModelGraph, generate_toy_resnet, save_model
 
 from conftest import write_random_ppms, zero_weight_copy
 
@@ -245,6 +246,107 @@ class TestDeterminism:
             results[tag] = (out, files)
         assert results["t1"][0] == results["t4"][0]
         assert results["t1"][1] == results["t4"][1]
+
+
+def count_forwards(monkeypatch) -> dict[str, int]:
+    """Count run_forward calls under the name each module looks it up by."""
+    counts = {}
+    for name, module in (("cli", cli), ("lrp", lrp), ("evaluate", ev)):
+        counts[name] = 0
+
+        def counting(*args, _name=name, _original=module.run_forward, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "run_forward", counting)
+    return counts
+
+
+class TestOneForwardPerImage:
+    @pytest.mark.parametrize("command", ["explain", "check-conservation", "evaluate"])
+    def test_one_forward_per_image_before_curves(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        manifest = write_random_ppms(tmp_path, count=3, seed=21)
+        images = 1 if command == "explain" else 3
+        argv = [command, "--model", "toy", "--seed", "7", "--out", str(tmp_path / "o")]
+        if command == "explain":
+            argv += ["--image", str(tmp_path / "img000.ppm")]
+        else:
+            argv += ["--images", manifest]
+        if command == "evaluate":
+            argv += ["--recompute", "--steps", "4"]
+        counts = count_forwards(monkeypatch)
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert counts["cli"] + counts["lrp"] == images
+        # the curves alone: insertion and deletion over 5 step counts each
+        assert counts["evaluate"] == (images * 2 * 5 if command == "evaluate" else 0)
+
+    @pytest.mark.parametrize("command", ["explain", "check-conservation", "evaluate"])
+    def test_auto_class_matches_explicit(self, tmp_path, capsys, command):
+        img = one_image(tmp_path, seed=3)
+        _, out, _ = run_cli(["explain", "--model", "toy", "--seed", "1", "--image", img,
+                             "--out", str(tmp_path / "probe")], capsys)
+        c = json.loads(out)["class"]
+        assert c != 0  # so a class defaulting to 0 cannot pass
+        extra = ["--recompute", "--steps", "4"] if command == "evaluate" else []
+        results = []
+        for tag, cls in (("auto", []), ("explicit", ["--class", str(c)])):
+            code, out, _ = run_cli([command, "--model", "toy", "--seed", "1",
+                                    "--image", img, *extra, *cls,
+                                    "--out", str(tmp_path / tag)], capsys)
+            files = {p.name.split(".", 1)[1]: p.read_bytes()
+                     for p in sorted(tmp_path.glob(f"{tag}.*"))}
+            results.append((code, out, files))
+        assert results[0][0] == 0 and results[0][2]
+        assert results[0] == results[1]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("fill", ["all_nan", "one_inf"])
+    def test_non_finite_attribution_csv_exits_2(self, tmp_path, capsys, fill):
+        img = one_image(tmp_path)
+        rows = [["nan" if fill == "all_nan" else "0.5"] * 8 for _ in range(8)]
+        if fill == "one_inf":
+            rows[3][4] = "-inf"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        code, out, err = run_cli(["evaluate", "--model", "toy", "--seed", "7",
+                                  "--image", img, "--attribution", str(bad),
+                                  "--out", str(tmp_path / "ev")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(bad) in err
+        assert not (tmp_path / "ev.insertion.csv").exists()
+
+    def test_nan_weight_exits_2_naming_tensor(self, tmp_path, capsys):
+        manifest = save_model(generate_toy_resnet(7), tmp_path / "model")
+        path = tmp_path / "model" / "tensors" / "block1.main.conv2.w.bin"
+        values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        values[5] = np.nan
+        path.write_bytes(values.tobytes())
+        code, _, err = run_cli(["explain", "--model", str(manifest),
+                                "--image", one_image(tmp_path),
+                                "--out", str(tmp_path / "att")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "block1.main.conv2.w" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_to_non_finite_relevance_exits_2(self, tmp_path, capsys):
+        # Finite weights pass the load checks, but the forward overflows
+        # float32, so the seeded relevance is not finite.
+        graph = generate_toy_resnet(7)
+        tensors = {name: arr * np.float32(1e30) if name.endswith(".w") else arr
+                   for name, arr in graph.tensors.items()}
+        huge = ModelGraph(preprocess=graph.preprocess, stem=graph.stem,
+                          blocks=graph.blocks, head=graph.head,
+                          num_classes=graph.num_classes, tensors=tensors)
+        manifest = save_model(huge, tmp_path / "model")
+        code, _, err = run_cli(["explain", "--model", str(manifest),
+                                "--image", one_image(tmp_path),
+                                "--out", str(tmp_path / "att")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestValidationErrors:

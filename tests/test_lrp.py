@@ -11,8 +11,8 @@ from relprop.model import (BottleneckSpec, ModelGraph, NodeSpec, Preprocess,
                            generate_toy_resnet, validate_graph)
 
 from conftest import make_sample
-from helpers import (fc_oracle_explain, maxpool_winner_matrix, share_matrix_lrp,
-                     unrolled_conv_matrix)
+from helpers import (fc_oracle_explain, lrp_conv1x1_im2col_reference,
+                     maxpool_winner_matrix, share_matrix_lrp, unrolled_conv_matrix)
 
 
 def rnd(seed):
@@ -153,6 +153,30 @@ class TestLrpConv:
         r_out = np.full((1, 2, 2), 0.25)
         r_in = lrp.lrp_conv(x, w, 1, 0, r_out)
         np.testing.assert_allclose(r_in, np.full((1, 2, 2), 0.25), atol=1e-15)
+
+    @pytest.mark.parametrize("rule", ["zplus", "epsilon"])
+    def test_pointwise_matches_im2col_reference(self, rule):
+        # Post-ReLU input: its zeros times negative shares give -0.0 cells,
+        # which col2im_add turns into +0.0.
+        rng = rnd(10)
+        x = np.maximum(rng.normal(size=(8, 6, 6)), 0.0).astype(np.float32)
+        w = rng.uniform(-0.5, 0.5, size=(4, 8, 1, 1)).astype(np.float32)
+        r_out = rng.normal(size=(4, 6, 6))
+        mine = lrp.lrp_conv(x, w, 1, 0, r_out, rule, 1e-6)
+        want = lrp_conv1x1_im2col_reference(x, w, r_out, rule, 1e-6)
+        assert np.array_equal(mine, want)
+        assert np.array_equal(np.signbit(mine), np.signbit(want))
+        assert not np.signbit(mine[mine == 0.0]).any()
+
+    def test_pointwise_dead_filter_matches_im2col_reference(self):
+        x = np.zeros((2, 3, 3))
+        x[0, 1, 1] = 2.0
+        w = np.array([[[[1.0]], [[-1.0]]], [[[-1.0]], [[-2.0]]]])
+        r_out = np.arange(18, dtype=np.float64).reshape(2, 3, 3)
+        mine = lrp.lrp_conv(x, w, 1, 0, r_out)
+        want = lrp_conv1x1_im2col_reference(x, w, r_out)
+        assert np.array_equal(mine, want)
+        assert np.array_equal(np.signbit(mine), np.signbit(want))
 
 
 class TestLrpMaxpool:
@@ -357,6 +381,26 @@ class TestExplain:
         p_c = float(probs[c])
         for label, total in state.checkpoint_sums:
             assert abs(total - p_c) <= 1e-5 * p_c, label
+
+    def test_class_defaults_to_argmax_of_its_own_forward(self, toy_graph):
+        sample = make_sample(toy_graph, seed=30)
+        c = int(np.argmax(run_forward(toy_graph, sample.normalized)))
+        amap, state = lrp.explain(toy_graph, sample)
+        want_map, want_state = lrp.explain(toy_graph, sample, c)
+        assert state.class_index == want_state.class_index == c
+        assert state.checkpoint_sums == want_state.checkpoint_sums
+        assert np.array_equal(amap.values, want_map.values)
+
+    def test_class_ties_go_to_lowest_index(self):
+        # A zero fc weight and bias make every logit equal.
+        graph = generate_toy_resnet(29, channels=4, blocks=1, num_classes=3, input_hw=8)
+        tensors = {name: np.zeros_like(arr) if name.startswith("head.fc") else arr
+                   for name, arr in graph.tensors.items()}
+        flat = ModelGraph(preprocess=graph.preprocess, stem=graph.stem,
+                          blocks=graph.blocks, head=graph.head,
+                          num_classes=graph.num_classes, tensors=tensors)
+        _, state = lrp.explain(flat, make_sample(flat, seed=29))
+        assert state.class_index == 0
 
     def test_checkpoints_cover_required_points(self, toy_graph):
         sample = make_sample(toy_graph, seed=32)

@@ -7,9 +7,9 @@ from relprop import lrp
 from relprop.image import (ImageFormatError, load_ppm, normalize, read_map_csv,
                            write_attribution, write_ppm)
 from relprop.model import (BadMagicError, BadTensorDtypeError, DanglingTensorNameError,
-                           GraphValidationError, MissingTensorFileError, Preprocess,
-                           TensorShapeMismatchError, generate_toy_resnet, load_model,
-                           save_model)
+                           GraphValidationError, MissingTensorFileError,
+                           NonFiniteTensorError, Preprocess, TensorShapeMismatchError,
+                           generate_toy_resnet, load_model, save_model)
 from relprop.forward import run_forward
 
 from conftest import make_sample
@@ -95,6 +95,15 @@ class TestLoadModel:
         path, _ = minimal_manifest(tmp_path)
         (tmp_path / "tensors" / "fc.b.bin").write_bytes(b"\x00" * 12)
         with pytest.raises(TensorShapeMismatchError, match="fc.b"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, bad):
+        path, _ = minimal_manifest(tmp_path)
+        values = np.full(8, 0.25, dtype="<f4")
+        values[2] = bad
+        (tmp_path / "tensors" / "fc.w.bin").write_bytes(values.tobytes())
+        with pytest.raises(NonFiniteTensorError, match="tensor fc.w: 1 of 8"):
             load_model(path)
 
     def test_head_must_end_fc_softmax(self, tmp_path):

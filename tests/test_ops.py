@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from relprop import ops
+
+from helpers import conv1x1_im2col_reference, maxpool_argmax_reference
 
 
 def rnd(seed):
@@ -67,6 +71,20 @@ class TestConv2d:
         rhs = a * ops.conv2d_forward(x, w, padding=1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_pointwise_matches_im2col_reference(self, signed_zeros):
+        rng = rnd(9)
+        x = rng.normal(size=(8, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(4, 8, 1, 1)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        if signed_zeros:
+            x = np.where(x < 0, np.float32(-0.0), np.float32(0.0))
+            b = None
+        out = ops.conv2d_forward(x, w, b)
+        want = conv1x1_im2col_reference(x, w, b)
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+
     def test_deterministic(self):
         rng = rnd(3)
         x = rng.normal(size=(3, 8, 8)).astype(np.float32)
@@ -129,6 +147,41 @@ class TestMaxPool:
         x = np.ones((1, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="padding"):
             ops.maxpool_forward(x, k=2, stride=2, padding=2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("data", ["normal", "ties", "nan", "signed_zeros", "inf"])
+    def test_matches_argmax_reference(self, k, stride, padding, data):
+        rng = rnd(40 + k + 3 * stride + 7 * padding)
+        h = 6 + k % stride          # (h + 2p - k) must be a multiple of stride
+        x = rng.normal(size=(3, h, h + 2 * stride)).astype(np.float32)
+        if data == "ties":
+            x = np.round(x).astype(np.float32)
+        elif data == "nan":
+            x[rng.random(x.shape) < 0.2] = np.nan
+        elif data == "signed_zeros":
+            x = np.where(rng.random(x.shape) < 0.5, np.float32(-0.0), np.float32(0.0))
+        elif data == "inf":
+            x[rng.random(x.shape) < 0.3] = -np.inf
+            x[rng.random(x.shape) < 0.1] = np.inf
+        try:
+            want, want_idx = maxpool_argmax_reference(x, k, stride, padding)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                ops.maxpool_forward(x, k, stride, padding)
+            return
+        out, idx = ops.maxpool_forward(x, k, stride, padding)
+        assert out.dtype == want.dtype and idx.dtype == want_idx.dtype == np.int64
+        assert np.array_equal(out, want, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert np.array_equal(idx, want_idx)
+
+    def test_nan_wins_at_lowest_offset(self):
+        x = np.array([[[1.0, np.nan], [np.nan, 5.0]]], dtype=np.float32)
+        out, idx = ops.maxpool_forward(x, k=2, stride=2)
+        assert np.isnan(out[0, 0, 0])
+        assert idx.reshape(-1).tolist() == [1]
 
 
 class TestGap:
