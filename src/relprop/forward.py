@@ -1,6 +1,7 @@
 """Graph execution: run a model forward, optionally capturing the activation
-trace the backward relevance pass needs (every layer input, pooling winner
-indices, and the pre-merge skip/main outputs of each block).
+trace the backward relevance pass needs (the inputs of conv, fc and gap
+layers, every layer's input shape, pooling winner indices, and the pre-merge
+skip/main outputs of each block).
 
 Everything here is a pure function of (graph, input); a loaded graph is
 immutable and may be shared across concurrent runs.
@@ -20,12 +21,18 @@ class GraphExecutionError(RuntimeError):
     """A layer failed; the message carries the layer's location in the graph."""
 
 
+# The node kinds whose backward rule reads the input activation itself; the
+# others need only its shape.
+KEEPS_INPUT = ("conv", "fc", "gap")
+
+
 @dataclass
 class NodeTrace:
     """Cached context for one executed node."""
 
     spec: NodeSpec
-    x: np.ndarray                       # the node's input activation
+    x_shape: tuple[int, ...]            # the node's input shape
+    x: np.ndarray | None = None         # the input activation, for KEEPS_INPUT kinds
     weight: np.ndarray | None = None    # resolved conv/fc weight
     pool_indices: np.ndarray | None = None
 
@@ -78,7 +85,9 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
     else:
         raise GraphExecutionError(f"unknown node kind {kind!r}")
     if sink is not None:
-        sink.append(NodeTrace(spec=node, x=x, weight=weight, pool_indices=pool_indices))
+        sink.append(NodeTrace(spec=node, x_shape=x.shape,
+                              x=x if kind in KEEPS_INPUT else None,
+                              weight=weight, pool_indices=pool_indices))
     return y
 
 

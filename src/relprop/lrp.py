@@ -25,10 +25,15 @@ plane for GAP). An epsilon stabilizer would leak; uniform spreading is the
 simplest strictly conserving completion.
 
 Bias terms feed the forward pass but absorb no relevance under either rule.
+
+One ``explain`` call owns one :class:`Workspace`: every conv backward in that
+call unrolls its input and back-projects its shares in the same two buffers.
+Nothing is shared between calls, so concurrent explanations stay independent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,11 +125,30 @@ class AttributionMap:
         return self.raw if self.quantized is None else self.quantized
 
 
+class Workspace:
+    """Two float64 scratch buffers for the conv backward passes of one call:
+    one holds the unrolled input columns, the other the back-projected shares.
+    Both grow to the largest layer served; their contents never outlive the
+    layer that wrote them.
+    """
+
+    def __init__(self):
+        self._cols = self._shares = np.empty(0)
+
+    def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous (columns, shares) views of the given shape."""
+        n = math.prod(shape)
+        if self._cols.size < n:
+            self._cols, self._shares = np.empty(n), np.empty(n)
+        return self._cols[:n].reshape(shape), self._shares[:n].reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # Per-layer backward rules
 # ---------------------------------------------------------------------------
 
 def _as64(x) -> np.ndarray:
+    # No copy when x is already float64: callers must not write into the result.
     return np.asarray(x, dtype=np.float64)
 
 
@@ -141,9 +165,16 @@ def seed_relevance(probs: np.ndarray, class_index: int) -> np.ndarray:
 
 
 def _eps_stabilize(denom: np.ndarray, epsilon: float) -> np.ndarray:
-    # sign(0) counts as +1 so zero denominators become +epsilon.
-    sign = np.where(denom < 0, -1.0, 1.0)
-    return denom + epsilon * sign
+    """Shift a fresh denominator array away from zero, in place.
+    sign(0) counts as +1 so zero denominators become +epsilon."""
+    denom += np.where(denom < 0, -epsilon, epsilon)
+    return denom
+
+
+def _zplus_ratio(r: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r / denom where the share total is nonzero, 0 elsewhere; and that mask."""
+    live = denom != 0.0
+    return np.divide(r, denom, out=np.zeros_like(denom), where=live), live
 
 
 def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
@@ -161,9 +192,7 @@ def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> 
 
     if rule == "zplus":
         wp = np.maximum(weight, 0.0)
-        denom = wp @ h
-        live = denom != 0.0
-        ratio = np.where(live, r_out / np.where(live, denom, 1.0), 0.0)
+        ratio, live = _zplus_ratio(r_out, wp @ h)
         r_in = h * (wp.T @ ratio)
         dead_total = float(r_out[~live].sum())
         if dead_total != 0.0:
@@ -176,10 +205,14 @@ def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> 
 
 
 def lrp_conv(x, weight, stride: int, padding: int, r_out,
-             rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
+             rule: str = "zplus", epsilon: float = 1e-6, *,
+             work: Workspace | None = None) -> np.ndarray:
     """Backward relevance through a conv layer, treated as the linear projection
     it is. Padding cells carry zero activation so they drop out of both the
     share numerators and the denominators; nothing is scattered onto them.
+
+    With ``work``, the unrolled columns and the back-projected shares of a
+    k x k conv live in its buffers instead of fresh arrays.
     """
     x = _as64(x)
     weight = _as64(weight)
@@ -196,36 +229,39 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         raise ops.ShapeMismatch(
             f"lrp_conv r_out shape {r_out.shape} != expected {(c_out, out_h, out_w)}")
 
-    if padding:
-        xpad = np.zeros((c_in, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding))
-        xpad[:, padding:padding + x.shape[1], padding:padding + x.shape[2]] = x
-    else:
-        xpad = x
     pointwise = ops.is_pointwise(k, stride, padding)
+    cols = shares = None  # pointwise shares become r_in, so they stay fresh
     if pointwise:
         cols = x.reshape(c_in, -1)
     else:
-        cols = ops.im2col(xpad, k, stride, out_h, out_w)    # (C_in*k*k, L)
+        if padding:
+            xpad = np.zeros((c_in, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding))
+            xpad[:, padding:padding + x.shape[1], padding:padding + x.shape[2]] = x
+        else:
+            xpad = x
+        if work is not None:
+            cols, shares = work.take((c_in * k * k, out_h * out_w))
+        cols = ops.im2col(xpad, k, stride, out_h, out_w, out=cols)  # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
     if rule == "zplus":
         wmat = np.maximum(weight, 0.0).reshape(c_out, -1)
-        denom = wmat @ cols                                  # (C_out, L)
-        live = denom != 0.0
-        ratio = np.where(live, r_flat / np.where(live, denom, 1.0), 0.0)
+        ratio, live = _zplus_ratio(r_flat, wmat @ cols)      # (C_out, L)
         dead_total = float(r_flat[~live].sum())
     elif rule == "epsilon":
         wmat = weight.reshape(c_out, -1)
-        ratio = r_flat / _eps_stabilize(wmat @ cols, epsilon)
+        z = wmat @ cols
+        ratio = np.divide(r_flat, _eps_stabilize(z, epsilon), out=z)
         dead_total = 0.0
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    r_cols = cols * (wmat.T @ ratio)
+    shares = np.matmul(wmat.T, ratio, out=shares)
+    np.multiply(cols, shares, out=shares)
     if pointwise:
-        r_in = r_cols.reshape(x.shape)
+        r_in = shares.reshape(x.shape)
         r_in += 0.0  # col2im_add accumulates onto +0.0, which turns -0.0 into +0.0
     else:
-        r_in = ops.col2im_add(r_cols, x.shape, k, stride, padding)
+        r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
     if dead_total != 0.0:
         r_in += dead_total / x.size
     return r_in
@@ -260,8 +296,7 @@ def lrp_gap(x, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
     shares = x / (h * w)
     denom = shares.sum(axis=(1, 2))
     if rule == "zplus":
-        live = denom != 0.0
-        ratio = np.where(live, r_out / np.where(live, denom, 1.0), 0.0)
+        ratio, live = _zplus_ratio(r_out, denom)
         r_in = shares * ratio[:, None, None]
         dead = ~live
         if dead.any():
@@ -283,11 +318,12 @@ def split_relevance(r, h_s, h_m, splitting: str, include_identity: bool,
 
     The two shares always recombine to the input exactly (the main share is
     computed as the complement); where both pre-merge magnitudes vanish the
-    ratio split degenerates and falls back to the symmetric split.
+    ratio split degenerates and falls back to the symmetric split. Both shares
+    are fresh arrays; the arguments are only read.
     """
     r = _as64(r)
-    h_s = _as64(h_s)
-    h_m = _as64(h_m)
+    h_s = np.asarray(h_s)
+    h_m = np.asarray(h_m)
     if not (r.shape == h_s.shape == h_m.shape):
         raise ops.ShapeMismatch(
             f"split_relevance shapes differ: r {r.shape}, h_s {h_s.shape}, h_m {h_m.shape}")
@@ -299,21 +335,26 @@ def split_relevance(r, h_s, h_m, splitting: str, include_identity: bool,
     if splitting == "symmetric":
         half = 0.5 * r
         return half, r - half
-    a = np.abs(h_s)
-    total = a + np.abs(h_m)
+    # Two full-size buffers: |h_s| becomes the skip fraction, then the main
+    # share; the magnitude total becomes the skip share.
+    a = np.abs(h_s, dtype=np.float64)
+    total = np.abs(h_m, dtype=np.float64)
+    total += a
     degenerate = total < RATIO_DENOM_GUARD
-    frac = a / np.where(degenerate, 1.0, total)  # h_m == 0 gives exactly 1
-    r_s = np.where(degenerate, 0.5 * r, r * frac)
-    return r_s, r - r_s
+    np.copyto(total, 1.0, where=degenerate)
+    frac = np.divide(a, total, out=a)  # h_m == 0 gives exactly 1
+    r_s = np.multiply(r, frac, out=total)
+    np.multiply(r, 0.5, out=r_s, where=degenerate)
+    return r_s, np.subtract(r, r_s, out=a)
 
 
 def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
-                  epsilon: float) -> np.ndarray:
+                  epsilon: float, *, work: Workspace | None = None) -> np.ndarray:
     """Backward relevance through one traced node."""
     kind = trace.spec.kind
     if kind == "conv":
         return lrp_conv(trace.x, trace.weight, trace.spec.stride, trace.spec.padding,
-                        r, rule, epsilon)
+                        r, rule, epsilon, work=work)
     if kind == "fc":
         return lrp_linear(trace.x, trace.weight, r, rule, epsilon)
     if kind == "gap":
@@ -321,12 +362,12 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
     if kind == "maxpool":
         if trace.pool_indices is None:
             raise LookupError("maxpool trace is missing its cached winner indices")
-        return lrp_maxpool(trace.pool_indices, r, trace.x.shape)
+        return lrp_maxpool(trace.pool_indices, r, trace.x_shape)
     if kind in ("bn", "relu"):
         r = passthrough(r)
-        if r.shape != trace.x.shape:
+        if r.shape != trace.x_shape:
             raise ops.ShapeMismatch(
-                f"{kind} relevance shape {r.shape} != activation shape {trace.x.shape}")
+                f"{kind} relevance shape {r.shape} != activation shape {trace.x_shape}")
         return r
     if kind == "softmax":
         raise ValueError("relevance never propagates through softmax; "
@@ -335,7 +376,8 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
 
 
 def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
-                         rule: str | None = None) -> np.ndarray:
+                         rule: str | None = None, *,
+                         work: Workspace | None = None) -> np.ndarray:
     """Backward relevance through one bottleneck block.
 
     The post-merge ReLU passes relevance through; the merge splits it between
@@ -352,16 +394,14 @@ def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
     r_s, r_m = split_relevance(r, trace.h_s, trace.h_m, config.splitting,
                                config.include_identity, trace.spec.identity_skip)
     for node_trace in reversed(trace.main):
-        r_m = node_backward(node_trace, r_m, rule, config.epsilon)
-    if trace.spec.identity_skip:
-        r_skip = r_s
-    else:
+        r_m = node_backward(node_trace, r_m, rule, config.epsilon, work=work)
+    if not trace.spec.identity_skip:
         if trace.skip is None or len(trace.skip) != 2:
             raise LookupError("block trace is missing the projection skip cache")
         for node_trace in reversed(trace.skip):
-            r_s = node_backward(node_trace, r_s, rule, config.epsilon)
-        r_skip = r_s
-    return r_m + r_skip
+            r_s = node_backward(node_trace, r_s, rule, config.epsilon, work=work)
+    r_m += r_s  # r_m is a fresh array: the split's share or a layer's output
+    return r_m
 
 
 def channel_sum(r0: np.ndarray) -> np.ndarray:
@@ -377,7 +417,10 @@ def heat_quantize(raw, bins: int, mode: str = "paper") -> np.ndarray:
 
     ``paper`` scales the bin index by the bin count; ``binwidth`` scales it by
     the bin width. Both share bin boundaries, so they rank pixels identically.
-    A constant map is returned unchanged; the maximum lands in the top bin.
+    A constant map is returned unchanged, and so is a map whose bin width
+    underflows to zero (its range spans fewer than ``bins`` / 2 of the smallest
+    subnormal steps, so it already has at most ``bins`` levels). The maximum
+    lands in the top bin.
     """
     raw = _as64(raw)
     if bins < 1:
@@ -385,9 +428,9 @@ def heat_quantize(raw, bins: int, mode: str = "paper") -> np.ndarray:
     if mode not in ("paper", "binwidth"):
         raise ValueError(f"quantize mode must be paper or binwidth, got {mode!r}")
     lo, hi = float(raw.min()), float(raw.max())
-    if hi == lo:
-        return raw.copy()
     step = (hi - lo) / bins
+    if step == 0.0:
+        return raw.copy()
     idx = np.minimum(np.floor((raw - lo) / step), bins - 1)
     scale = float(bins) if mode == "paper" else step
     return lo + idx * scale
@@ -430,19 +473,21 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     state = RelevanceState(current=r, class_index=class_index)
     state.record(CHECKPOINT_SEED, r)
 
+    work = Workspace()
     head_rule = config.rule_for_head()
     for node_trace in reversed(trace.head):
         if node_trace.spec.kind == "softmax":
             continue
-        r = node_backward(node_trace, r, head_rule, config.epsilon)
+        r = node_backward(node_trace, r, head_rule, config.epsilon, work=work)
 
     for b in range(len(trace.blocks) - 1, -1, -1):
-        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_for_block(b))
+        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_for_block(b),
+                                 work=work)
         state.record(block_input_label(b + 1), r)
 
     stem_rule = config.rule_for_stem()
     for node_trace in reversed(trace.stem):
-        r = node_backward(node_trace, r, stem_rule, config.epsilon)
+        r = node_backward(node_trace, r, stem_rule, config.epsilon, work=work)
     state.record(CHECKPOINT_INPUT, r)
 
     raw = channel_sum(r)

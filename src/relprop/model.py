@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 NODE_KINDS = ("conv", "bn", "relu", "maxpool", "gap", "fc", "softmax")
+TENSOR_FIELDS = ("weight", "bias", "gamma", "beta", "mean", "var")
 
 
 class ModelError(Exception):
@@ -86,6 +87,11 @@ class NodeSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise GraphValidationError(f"{where}: node is not an object with a kind")
         kind = obj["kind"]
+        for name in TENSOR_FIELDS:
+            value = obj.get(name)
+            if value is not None and not isinstance(value, str):
+                raise GraphValidationError(f"{where}: {name} must be a tensor name, "
+                                           f"got {value!r}")
         try:
             if kind == "conv":
                 return NodeSpec("conv", weight=obj["weight"], bias=obj.get("bias"),
@@ -128,6 +134,8 @@ class BottleneckSpec:
 
     @staticmethod
     def from_json(obj: dict, where: str) -> "BottleneckSpec":
+        if not isinstance(obj, dict):
+            raise GraphValidationError(f"{where}: block is not an object")
         main = tuple(NodeSpec.from_json(n, f"{where}.main[{i}]")
                      for i, n in enumerate(obj.get("main", [])))
         skip_obj = obj.get("skip")
@@ -169,7 +177,7 @@ class ModelGraph:
 
 
 def _tensor_refs(node: NodeSpec) -> list[str]:
-    names = [node.weight, node.bias, node.gamma, node.beta, node.mean, node.var]
+    names = (getattr(node, name) for name in TENSOR_FIELDS)
     return [n for n in names if n is not None]
 
 
@@ -367,10 +375,16 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
         head = tuple(NodeSpec.from_json(n, f"head[{i}]")
                      for i, n in enumerate(doc["head"]))
         tensor_table = doc["tensors"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadMagicError(f"manifest structure invalid: {exc}") from exc
+    if not isinstance(tensor_table, dict):
+        raise BadMagicError("manifest tensors must be an object mapping names to "
+                            f"entries, got {type(tensor_table).__name__}")
     if len(preprocess.mean) != 3 or len(preprocess.std) != 3:
         raise BadMagicError("preprocess mean/std must each have 3 entries")
+    if not np.all(np.isfinite(preprocess.mean + preprocess.std)) or min(preprocess.std) <= 0:
+        raise BadMagicError("preprocess mean must be finite and std finite and positive, "
+                            f"got mean {list(preprocess.mean)} std {list(preprocess.std)}")
 
     tensors: dict[str, np.ndarray] = {}
     base = manifest_path.parent
@@ -378,8 +392,10 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
         try:
             shape = tuple(int(v) for v in entry["shape"])
             rel = entry["file"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadMagicError(f"tensor table entry {name} invalid: {exc}") from exc
+        if not isinstance(rel, str):
+            raise BadMagicError(f"tensor table entry {name}: file must be a path string")
         if any(v < 1 for v in shape) or not 1 <= len(shape) <= 4:
             raise TensorShapeMismatchError(f"tensor {name}: shape {list(shape)} must be "
                                            "rank 1-4 with positive extents")

@@ -66,16 +66,24 @@ def _pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
     return out
 
 
-def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Unroll k x k receptive fields of a padded C x Hp x Wp map into columns.
 
     Returns a (C*k*k, out_h*out_w) array whose row order matches a
-    (C_out, C*k*k) reshape of conv weights.
+    (C_out, C*k*k) reshape of conv weights. With ``out`` (a C-contiguous array
+    of that shape) the columns are copied into it and it is returned.
     """
     c = xpad.shape[0]
     win = sliding_window_view(xpad, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, out_h * out_w)
+    win = win[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+    if out is None:
+        return win.reshape(c * k * k, out_h * out_w)
+    if out.shape != (c * k * k, out_h * out_w) or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"im2col out must be C-contiguous with shape "
+                            f"{(c * k * k, out_h * out_w)}, got {out.shape}")
+    np.copyto(out.reshape(c, k, k, out_h, out_w), win)
+    return out
 
 
 def col2im_add(cols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int,

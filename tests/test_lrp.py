@@ -533,6 +533,13 @@ class TestHeatQuantize:
         for mode in ("paper", "binwidth"):
             assert np.all(lrp.heat_quantize(raw, 1, mode) == raw.min())
 
+    @pytest.mark.parametrize("mode", ["paper", "binwidth"])
+    def test_subnormal_range_unchanged(self, mode):
+        # (hi - lo) / bins underflows to 0; dividing by it gave NaN levels
+        raw = np.array([[5e-324, 0.0, 1e-323]])
+        for bins in (4, 12):
+            assert np.array_equal(lrp.heat_quantize(raw, bins, mode), raw)
+
     def test_max_lands_in_top_bin(self):
         raw = np.array([[0.0, 10.0]])
         out = lrp.heat_quantize(raw, 4, "binwidth")
