@@ -9,12 +9,13 @@ byte-deterministic for identical inputs regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,81 +33,64 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONSERVATION = 3
 
-# FloatingPointError: a model whose finite weights still overflow to a
-# non-finite relevance sum.
-_INPUT_ERRORS = (ModelError, ImageFormatError, GraphExecutionError, ValueError,
-                 LookupError, OSError, FloatingPointError)
-
 
 class CliError(Exception):
     """Invalid invocation; maps to exit code 2."""
 
 
+# FloatingPointError: a model whose finite weights still overflow to a
+# non-finite relevance sum.
+_INPUT_ERRORS = (CliError, ModelError, ImageFormatError, GraphExecutionError, ValueError,
+                 LookupError, OSError, FloatingPointError)
+
+
 @dataclass
 class JobConfig:
-    """Validated flags for one subcommand invocation."""
+    """Validated flags for one subcommand invocation. These field defaults
+    are the only home of the CLI's flag defaults."""
 
     model: str
-    image: str | None
-    images: str | None
-    class_spec: str
-    rule_config: lrp.RuleConfig
-    steps: int
-    tolerance: float
-    out: str | None
-    topk: int
-    threads: int
-    seed: int
-    attribution: str | None
-    recompute: bool
+    image: str | None = None
+    images: str | None = None
+    class_spec: str = "auto"
+    rule_config: lrp.RuleConfig = field(default_factory=lrp.RuleConfig)
+    steps: int = 100
+    tolerance: float = 1e-4
+    out: str | None = None
+    topk: int = 5
+    threads: int = 1
+    seed: int = 0
+    attribution: str | None = None
+    recompute: bool = False
+
+    def __post_init__(self):
+        if self.class_spec != "auto":
+            try:
+                int(self.class_spec)
+            except ValueError:
+                raise CliError(f"--class must be 'auto' or an integer, "
+                               f"got {self.class_spec!r}")
+        if self.steps < 2:
+            raise CliError("--steps must be >= 2")
+        if self.tolerance < 0:
+            raise CliError("--tolerance must be >= 0")
+        if self.threads < 1:
+            raise CliError("--threads must be >= 1")
+        if self.topk < 1:
+            raise CliError("--topk must be >= 1")
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "JobConfig":
-        cls = getattr(args, "class_spec", "auto")
-        if cls != "auto":
-            try:
-                int(cls)
-            except ValueError:
-                raise CliError(f"--class must be 'auto' or an integer, got {cls!r}")
-        steps = getattr(args, "steps", 100)
-        if steps < 2:
-            raise CliError("--steps must be >= 2")
-        tolerance = getattr(args, "tolerance", 1e-4)
-        if tolerance < 0:
-            raise CliError("--tolerance must be >= 0")
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise CliError("--threads must be >= 1")
-        topk = getattr(args, "topk", 5)
-        if topk < 1:
-            raise CliError("--topk must be >= 1")
+        """The job for a parsed command line, which holds only the flags given."""
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+        rule_flags = {f.name: flags.pop(f.name) for f in fields(lrp.RuleConfig)
+                      if f.name in flags}
+        job = JobConfig(**flags)
         try:
-            rule_config = lrp.RuleConfig(
-                rule=getattr(args, "rule", "zplus"),
-                epsilon=getattr(args, "epsilon", 1e-6),
-                mixture_boundary=getattr(args, "mixture_boundary", 8),
-                splitting=getattr(args, "splitting", "ratio"),
-                include_identity=getattr(args, "include_identity", True),
-                quantize=getattr(args, "quantize", "paper"),
-                bins=getattr(args, "bins", 8),
-            )
+            job.rule_config = lrp.RuleConfig(**rule_flags)
         except ValueError as exc:
             raise CliError(str(exc))
-        return JobConfig(
-            model=args.model,
-            image=getattr(args, "image", None),
-            images=getattr(args, "images", None),
-            class_spec=cls,
-            rule_config=rule_config,
-            steps=steps,
-            tolerance=tolerance,
-            out=getattr(args, "out", None),
-            topk=topk,
-            threads=threads,
-            seed=getattr(args, "seed", 0),
-            attribution=getattr(args, "attribution", None),
-            recompute=getattr(args, "recompute", False),
-        )
+        return job
 
 
 def _parse_bool(value: str) -> bool:
@@ -200,8 +184,6 @@ def _explain_one(graph: ModelGraph, job: JobConfig, path: Path
 
 
 def cmd_explain(job: JobConfig) -> int:
-    if job.out is None:
-        raise CliError("--out is required")
     graph = _load_graph(job)
     _, c, amap, state = _explain_one(graph, job, _image_paths(job)[0])
     written = write_attribution(amap, job.out)
@@ -243,8 +225,6 @@ def _curves_for_image(graph: ModelGraph, job: JobConfig, path: Path
 
 
 def cmd_evaluate(job: JobConfig) -> int:
-    if job.out is None:
-        raise CliError("--out is required")
     if not job.recompute and job.attribution is None:
         raise CliError("provide --attribution <csv> or --recompute")
     if not job.recompute and job.images is not None:
@@ -288,8 +268,6 @@ def cmd_evaluate(job: JobConfig) -> int:
 
 
 def cmd_check_conservation(job: JobConfig) -> int:
-    if job.out is None:
-        raise CliError("--out is required")
     graph = _load_graph(job)
     paths = _image_paths(job)
 
@@ -337,9 +315,9 @@ def cmd_check_conservation(job: JobConfig) -> int:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True,
                    help="manifest path, or toy[:channels,blocks,classes,hw]")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int,
                    help="seed for toy-model generation")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=int,
                    help="concurrent per-image jobs; outputs are identical for any value")
 
 
@@ -350,14 +328,14 @@ def _add_image_flags(p: argparse.ArgumentParser, manifest: bool) -> None:
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rule", choices=list(lrp.RULES), default="zplus")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--mixture-boundary", dest="mixture_boundary", type=int, default=8)
-    p.add_argument("--splitting", choices=list(lrp.SPLITTINGS), default="ratio")
+    p.add_argument("--rule", choices=list(lrp.RULES))
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--mixture-boundary", dest="mixture_boundary", type=int)
+    p.add_argument("--splitting", choices=list(lrp.SPLITTINGS))
     p.add_argument("--include-identity", dest="include_identity", type=_parse_bool,
-                   default=True, metavar="{true,false}")
-    p.add_argument("--quantize", choices=list(lrp.QUANTIZE_MODES), default="paper")
-    p.add_argument("--bins", type=int, default=8)
+                   metavar="{true,false}")
+    p.add_argument("--quantize", choices=list(lrp.QUANTIZE_MODES))
+    p.add_argument("--bins", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,42 +344,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Relevance propagation for residual CNNs with conservation "
                     "auditing and insertion/deletion evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # An absent flag stays out of the namespace, so JobConfig's default applies.
+    add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("infer", help="top-k class probabilities for an image")
+    p = add_parser("infer", help="top-k class probabilities for an image")
     _add_model_flags(p)
     _add_image_flags(p, manifest=False)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=int)
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("explain", help="attribution map + conservation summary")
+    p = add_parser("explain", help="attribution map + conservation summary")
     _add_model_flags(p)
     _add_image_flags(p, manifest=False)
-    p.add_argument("--class", dest="class_spec", default="auto",
+    p.add_argument("--class", dest="class_spec",
                    help="target class index, or 'auto' for the argmax")
     _add_rule_flags(p)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--out", required=True, help="output prefix (.csv/.pgm)")
     p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("evaluate", help="insertion/deletion curves and scores")
+    p = add_parser("evaluate", help="insertion/deletion curves and scores")
     _add_model_flags(p)
     _add_image_flags(p, manifest=True)
-    p.add_argument("--class", dest="class_spec", default="auto")
+    p.add_argument("--class", dest="class_spec")
     _add_rule_flags(p)
     p.add_argument("--attribution", help="attribution CSV from a previous explain")
     p.add_argument("--recompute", action="store_true",
                    help="recompute attributions instead of reading a CSV")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True, help="output prefix for curve CSVs")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("check-conservation",
-                       help="per-checkpoint conservation audit over images")
+    p = add_parser("check-conservation",
+                   help="per-checkpoint conservation audit over images")
     _add_model_flags(p)
     _add_image_flags(p, manifest=True)
-    p.add_argument("--class", dest="class_spec", default="auto")
+    p.add_argument("--class", dest="class_spec")
     _add_rule_flags(p)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--out", required=True, help="output prefix for the audit CSV")
     p.set_defaults(fn=cmd_check_conservation)
     return parser
@@ -421,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         job = JobConfig.from_args(args)
         return args.fn(job)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,9 +20,9 @@ are tighter than float32 storage would support.
 
 z+ rule, zero denominator: when an output unit's positive-weight share total
 is exactly zero but it still carries relevance, that relevance is spread
-uniformly over the projection's inputs (the whole input for conv, the channel
-plane for GAP). An epsilon stabilizer would leak; uniform spreading is the
-simplest strictly conserving completion.
+uniformly over the projection's inputs (the whole input for conv and fc, the
+channel plane for GAP). An epsilon stabilizer would leak; uniform spreading is
+the simplest strictly conserving completion.
 
 Bias terms feed the forward pass but absorb no relevance under either rule.
 
@@ -164,44 +164,32 @@ def seed_relevance(probs: np.ndarray, class_index: int) -> np.ndarray:
     return r
 
 
-def _eps_stabilize(denom: np.ndarray, epsilon: float) -> np.ndarray:
-    """Shift a fresh denominator array away from zero, in place.
-    sign(0) counts as +1 so zero denominators become +epsilon."""
-    denom += np.where(denom < 0, -epsilon, epsilon)
-    return denom
+def _ratio(r: np.ndarray, z: np.ndarray, rule: str,
+           epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Relevance per unit of share total, r / z, for a fresh z this may overwrite.
 
-
-def _zplus_ratio(r: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r / denom where the share total is nonzero, 0 elsewhere; and that mask."""
-    live = denom != 0.0
-    return np.divide(r, denom, out=np.zeros_like(denom), where=live), live
+    z+ divides only where the share total is nonzero, leaves 0 elsewhere, and
+    returns that dead mask for the caller's completion. Epsilon first shifts z
+    away from zero (sign(0) counts as +1, so zero totals become +epsilon) and
+    returns no mask: it leaks instead of completing.
+    """
+    if rule == "zplus":
+        dead = z == 0.0
+        return np.divide(r, z, out=np.zeros_like(z), where=~dead), dead
+    if rule == "epsilon":
+        z += np.where(z < 0, -epsilon, epsilon)
+        return np.divide(r, z, out=z), None
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
-    """Backward relevance through an affine layer (bias absorbs nothing)."""
-    h = _as64(h)
-    weight = _as64(weight)
-    r_out = _as64(r_out)
-    if weight.ndim != 2 or h.ndim != 1 or r_out.ndim != 1:
+    """Backward relevance through an affine layer (bias absorbs nothing): the
+    1x1 conv case on a 1x1 map."""
+    if np.ndim(weight) != 2 or np.ndim(h) != 1 or np.ndim(r_out) != 1:
         raise ops.ShapeMismatch("lrp_linear expects weight (E x D), h (D), r_out (E)")
-    e, d = weight.shape
-    if h.shape[0] != d or r_out.shape[0] != e:
-        raise ops.ShapeMismatch(
-            f"lrp_linear shapes inconsistent: weight {weight.shape}, h {h.shape}, "
-            f"r_out {r_out.shape}")
-
-    if rule == "zplus":
-        wp = np.maximum(weight, 0.0)
-        ratio, live = _zplus_ratio(r_out, wp @ h)
-        r_in = h * (wp.T @ ratio)
-        dead_total = float(r_out[~live].sum())
-        if dead_total != 0.0:
-            r_in += dead_total / d
-        return r_in
-    if rule == "epsilon":
-        denom = _eps_stabilize(weight @ h, epsilon)
-        return h * (weight.T @ (r_out / denom))
-    raise ValueError(f"unknown rule {rule!r}")
+    r_in = lrp_conv(np.reshape(h, (-1, 1, 1)), np.reshape(weight, np.shape(weight) + (1, 1)),
+                    1, 0, np.reshape(r_out, (-1, 1, 1)), rule, epsilon)
+    return r_in.reshape(-1)
 
 
 def lrp_conv(x, weight, stride: int, padding: int, r_out,
@@ -234,27 +222,14 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
     if pointwise:
         cols = x.reshape(c_in, -1)
     else:
-        if padding:
-            xpad = np.zeros((c_in, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding))
-            xpad[:, padding:padding + x.shape[1], padding:padding + x.shape[2]] = x
-        else:
-            xpad = x
         if work is not None:
             cols, shares = work.take((c_in * k * k, out_h * out_w))
-        cols = ops.im2col(xpad, k, stride, out_h, out_w, out=cols)  # (C_in*k*k, L)
+        cols = ops.im2col(ops.pad2d(x, padding, 0.0), k, stride, out_h, out_w,
+                          out=cols)  # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
-    if rule == "zplus":
-        wmat = np.maximum(weight, 0.0).reshape(c_out, -1)
-        ratio, live = _zplus_ratio(r_flat, wmat @ cols)      # (C_out, L)
-        dead_total = float(r_flat[~live].sum())
-    elif rule == "epsilon":
-        wmat = weight.reshape(c_out, -1)
-        z = wmat @ cols
-        ratio = np.divide(r_flat, _eps_stabilize(z, epsilon), out=z)
-        dead_total = 0.0
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    wmat = (np.maximum(weight, 0.0) if rule == "zplus" else weight).reshape(c_out, -1)
+    ratio, dead = _ratio(r_flat, wmat @ cols, rule, epsilon)      # (C_out, L)
     shares = np.matmul(wmat.T, ratio, out=shares)
     np.multiply(cols, shares, out=shares)
     if pointwise:
@@ -262,6 +237,7 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         r_in += 0.0  # col2im_add accumulates onto +0.0, which turns -0.0 into +0.0
     else:
         r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
+    dead_total = 0.0 if dead is None else float(r_flat[dead].sum())
     if dead_total != 0.0:
         r_in += dead_total / x.size
     return r_in
@@ -285,7 +261,8 @@ def lrp_gap(x, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
     GAP is a per-channel projection with uniform positive weights 1/(H*W), so
     under z+ the shares are just h/(H*W) (negative cells contribute
     negatively). A channel whose share total is exactly zero spreads its
-    relevance uniformly over its own plane.
+    relevance uniformly over its own plane. The shares stay elementwise: a
+    GEMM form would sum in another order and change the bits.
     """
     x = _as64(x)
     r_out = _as64(r_out)
@@ -294,17 +271,11 @@ def lrp_gap(x, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
             f"lrp_gap expects x (C x H x W) and r_out (C); got {x.shape}, {r_out.shape}")
     c, h, w = x.shape
     shares = x / (h * w)
-    denom = shares.sum(axis=(1, 2))
-    if rule == "zplus":
-        ratio, live = _zplus_ratio(r_out, denom)
-        r_in = shares * ratio[:, None, None]
-        dead = ~live
-        if dead.any():
-            r_in[dead] += (r_out[dead] / (h * w))[:, None, None]
-        return r_in
-    if rule == "epsilon":
-        return shares * (r_out / _eps_stabilize(denom, epsilon))[:, None, None]
-    raise ValueError(f"unknown rule {rule!r}")
+    ratio, dead = _ratio(r_out, shares.sum(axis=(1, 2)), rule, epsilon)
+    r_in = shares * ratio[:, None, None]
+    if dead is not None and dead.any():
+        r_in[dead] += (r_out[dead] / (h * w))[:, None, None]
+    return r_in
 
 
 def passthrough(r: np.ndarray) -> np.ndarray:
@@ -420,7 +391,8 @@ def heat_quantize(raw, bins: int, mode: str = "paper") -> np.ndarray:
     A constant map is returned unchanged, and so is a map whose bin width
     underflows to zero (its range spans fewer than ``bins`` / 2 of the smallest
     subnormal steps, so it already has at most ``bins`` levels). The maximum
-    lands in the top bin.
+    lands in the top bin, and the levels stay finite even when the range
+    itself overflows.
     """
     raw = _as64(raw)
     if bins < 1:
@@ -428,12 +400,19 @@ def heat_quantize(raw, bins: int, mode: str = "paper") -> np.ndarray:
     if mode not in ("paper", "binwidth"):
         raise ValueError(f"quantize mode must be paper or binwidth, got {mode!r}")
     lo, hi = float(raw.min()), float(raw.max())
-    step = (hi - lo) / bins
+    # A range wider than the largest double is binned at half scale, where it
+    # fits; halving keeps the value order.
+    scale = 0.5 if math.isinf(hi - lo) else 1.0
+    step = (hi * scale - lo * scale) / bins
     if step == 0.0:
         return raw.copy()
-    idx = np.minimum(np.floor((raw - lo) / step), bins - 1)
-    scale = float(bins) if mode == "paper" else step
-    return lo + idx * scale
+    idx = np.minimum(np.floor((raw * scale - lo * scale) / step), bins - 1)
+    if mode == "paper":
+        return lo + idx * float(bins)
+    levels = lo + idx * step
+    if scale != 1.0:  # the bin width is two steps; adding them one at a time stays finite
+        levels += idx * step
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-NODE_KINDS = ("conv", "bn", "relu", "maxpool", "gap", "fc", "softmax")
+# Each node kind's manifest fields, in manifest order. Tensor fields hold a
+# tensor name ("bias" may be null or absent), "eps" a number, the rest integers.
+NODE_FIELDS = {
+    "conv": ("weight", "bias", "stride", "padding"),
+    "bn": ("gamma", "beta", "mean", "var", "eps"),
+    "relu": (),
+    "maxpool": ("k", "stride", "padding"),
+    "gap": (),
+    "fc": ("weight", "bias"),
+    "softmax": (),
+}
+NODE_KINDS = tuple(NODE_FIELDS)
 TENSOR_FIELDS = ("weight", "bias", "gamma", "beta", "mean", "var")
 
 
@@ -67,48 +78,42 @@ class NodeSpec:
     eps: float = 1e-5
 
     def to_json(self) -> dict:
-        if self.kind == "conv":
-            return {"kind": "conv", "weight": self.weight, "bias": self.bias,
-                    "stride": self.stride, "padding": self.padding}
-        if self.kind == "bn":
-            return {"kind": "bn", "gamma": self.gamma, "beta": self.beta,
-                    "mean": self.mean, "var": self.var, "eps": self.eps}
-        if self.kind == "maxpool":
-            return {"kind": "maxpool", "k": self.k, "stride": self.stride,
-                    "padding": self.padding}
-        if self.kind == "fc":
-            return {"kind": "fc", "weight": self.weight, "bias": self.bias}
-        if self.kind in ("relu", "gap", "softmax"):
-            return {"kind": self.kind}
-        raise GraphValidationError(f"unknown node kind {self.kind!r}")
+        if self.kind not in NODE_FIELDS:
+            raise GraphValidationError(f"unknown node kind {self.kind!r}")
+        return {"kind": self.kind, **{name: getattr(self, name)
+                                      for name in NODE_FIELDS[self.kind]}}
 
     @staticmethod
     def from_json(obj: dict, where: str) -> "NodeSpec":
+        """Parse one manifest node. A field of the wrong JSON type raises
+        TypeError, which ``load_model`` reports as an invalid structure."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise GraphValidationError(f"{where}: node is not an object with a kind")
         kind = obj["kind"]
-        for name in TENSOR_FIELDS:
-            value = obj.get(name)
-            if value is not None and not isinstance(value, str):
-                raise GraphValidationError(f"{where}: {name} must be a tensor name, "
-                                           f"got {value!r}")
-        try:
-            if kind == "conv":
-                return NodeSpec("conv", weight=obj["weight"], bias=obj.get("bias"),
-                                stride=int(obj["stride"]), padding=int(obj["padding"]))
-            if kind == "bn":
-                return NodeSpec("bn", gamma=obj["gamma"], beta=obj["beta"],
-                                mean=obj["mean"], var=obj["var"], eps=float(obj["eps"]))
-            if kind == "maxpool":
-                return NodeSpec("maxpool", k=int(obj["k"]), stride=int(obj["stride"]),
-                                padding=int(obj["padding"]))
-            if kind == "fc":
-                return NodeSpec("fc", weight=obj["weight"], bias=obj.get("bias"))
-            if kind in ("relu", "gap", "softmax"):
-                return NodeSpec(kind)
-        except KeyError as exc:
-            raise GraphValidationError(f"{where}: {kind} node missing field {exc}") from exc
-        raise GraphValidationError(f"{where}: unknown node kind {kind!r}")
+        if not isinstance(kind, str) or kind not in NODE_FIELDS:
+            raise GraphValidationError(f"{where}: unknown node kind {kind!r}")
+        values = {}
+        for name in NODE_FIELDS[kind]:
+            if name not in obj and name != "bias":
+                raise GraphValidationError(f"{where}: {kind} node missing field {name!r}")
+            values[name] = _field_value(name, obj.get(name), where)
+        return NodeSpec(kind, **values)
+
+
+def _field_value(name: str, value, where: str):
+    """A node field's value, checked against the JSON type its name calls for."""
+    if name in TENSOR_FIELDS:
+        ok = isinstance(value, str) or (name == "bias" and value is None)
+        want = "a tensor name"
+    elif name == "eps":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        want = "a number"
+    else:
+        ok = type(value) is int
+        want = "an integer"
+    if not ok:
+        raise TypeError(f"{where}: {name} must be {want}, got {value!r}")
+    return float(value) if name == "eps" else value
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,11 @@ class BottleneckSpec:
             if conv.kind != "conv" or bn.kind != "bn":
                 raise GraphValidationError(f"{where}: projection skip must be conv + bn")
             skip = (conv, bn)
-        return BottleneckSpec(main=main, skip=skip,
-                              post_merge_relu=bool(obj.get("post_merge_relu", True)))
+        post_merge_relu = obj.get("post_merge_relu", True)
+        if not isinstance(post_merge_relu, bool):
+            raise TypeError(f"{where}: post_merge_relu must be true or false, "
+                            f"got {post_merge_relu!r}")
+        return BottleneckSpec(main=main, skip=skip, post_merge_relu=post_merge_relu)
 
 
 @dataclass(frozen=True)
@@ -251,11 +259,8 @@ def validate_graph(graph: ModelGraph) -> None:
                 raise DanglingTensorNameError(f"{where}: unresolved tensor {name}")
 
     channels = 3
-    vector = False
     for i, node in enumerate(graph.stem):
         where = f"stem[{i}]"
-        if vector:
-            raise GraphValidationError(f"{where}: stem must stay spatial")
         if node.kind == "conv":
             channels = _check_conv(graph, node, channels, where)
         elif node.kind == "bn":
@@ -290,19 +295,15 @@ def validate_graph(graph: ModelGraph) -> None:
     if len(graph.head) < 2 or graph.head[-2].kind != "fc" or graph.head[-1].kind != "softmax" \
             or fc_count != 1:
         raise GraphValidationError("head must end with exactly one fc followed by softmax")
+    vector = False
     for i, node in enumerate(graph.head):
         where = f"head[{i}]"
+        if vector and node.kind in ("conv", "bn", "maxpool"):
+            raise GraphValidationError(f"{where}: {node.kind} after gap")
         if node.kind == "conv":
-            if vector:
-                raise GraphValidationError(f"{where}: conv after gap")
             channels = _check_conv(graph, node, channels, where)
         elif node.kind == "bn":
-            if vector:
-                raise GraphValidationError(f"{where}: bn after gap")
             _check_bn(graph, node, channels, where)
-        elif node.kind == "maxpool":
-            if vector:
-                raise GraphValidationError(f"{where}: maxpool after gap")
         elif node.kind == "gap":
             if vector:
                 raise GraphValidationError(f"{where}: repeated gap")

@@ -57,7 +57,8 @@ def is_pointwise(k: int, stride: int, padding: int) -> bool:
     return k == 1 and stride == 1 and padding == 0
 
 
-def _pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
+def pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
+    """A C x H x W map framed by ``padding`` cells of ``fill``; x itself at 0."""
     if padding == 0:
         return x
     c, h, w = x.shape
@@ -128,7 +129,7 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     if is_pointwise(kh, stride, padding):
         cols = x.reshape(c_in, -1).astype(np.float64)
     else:
-        cols = im2col(_pad2d(x, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
+        cols = im2col(pad2d(x, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:
         bias = _as_f32(bias)
@@ -155,7 +156,7 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     out_w = conv_output_extent(w, k, stride, padding, "width")
 
     # One strided view per window offset, in flat-offset order.
-    xpad = _pad2d(x, padding, np.float32(-np.inf))
+    xpad = pad2d(x, padding, np.float32(-np.inf))
     views = [xpad[:, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride]
              for di in range(k) for dj in range(k)]
     best = views[0].copy()

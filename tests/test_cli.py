@@ -369,3 +369,21 @@ class TestValidationErrors:
         code, _, err = run_cli(["infer", "--model", "toy:1,2", "--image", "x.ppm"],
                                capsys)
         assert code == 2 and "toy" in err
+
+
+MINIMAL_ARGV = {
+    "infer": ["infer", "--model", "toy"],
+    "explain": ["explain", "--model", "toy", "--out", "att"],
+    "evaluate": ["evaluate", "--model", "toy", "--out", "ev"],
+    "check-conservation": ["check-conservation", "--model", "toy", "--out", "cons"],
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+    def test_absent_flags_take_the_dataclass_defaults(self, command):
+        argv = MINIMAL_ARGV[command]
+        job = cli.JobConfig.from_args(cli.build_parser().parse_args(argv))
+        out = argv[-1] if "--out" in argv else None
+        assert job == cli.JobConfig(model="toy", out=out)
+        assert job.rule_config == lrp.RuleConfig()

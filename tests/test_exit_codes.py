@@ -119,6 +119,11 @@ CASES = {
         set_key(["preprocess", "std"], [0.0, 1.0, 1.0]), "std finite and positive"),
     "manifest_infinite_integer": infer_with_manifest(
         set_key(["stem", 0, "stride"], float("inf")), "manifest structure invalid"),
+    "manifest_fractional_integer": infer_with_manifest(
+        set_key(["stem", 0, "padding"], 1.5), "stem[0]: padding must be an integer"),
+    "manifest_bool_as_string": infer_with_manifest(
+        set_key(["blocks", 1, "post_merge_relu"], "false"),
+        "blocks[1]: post_merge_relu must be true or false"),
     "missing_image": missing_image,
     "bad_ppm": bad_ppm,
     "non_finite_csv": non_finite_csv,

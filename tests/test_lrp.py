@@ -95,6 +95,19 @@ class TestLrpLinear:
         want = share_matrix_lrp(h, w, r_out, rule="epsilon", epsilon=1e-3)
         np.testing.assert_allclose(mine, want, atol=1e-12)
 
+    @pytest.mark.parametrize("rule", ["zplus", "epsilon"])
+    def test_exact_zeros_are_positive_like_the_1x1_conv(self, rule):
+        # Zero inputs times negative back-projected shares are -0.0 products;
+        # an fc layer is the 1x1 conv on a 1x1 map and returns +0.0 like it.
+        h = np.array([0.0, 1.0, 2.0, 0.0])
+        w = np.array([[1.0, 2.0, 0.5, -1.0], [0.5, -1.0, 1.0, 2.0]])
+        r_out = np.array([-0.6, 0.3])
+        r_in = lrp.lrp_linear(h, w, r_out, rule, 1e-3)
+        conv = lrp.lrp_conv(h.reshape(4, 1, 1), w.reshape(2, 4, 1, 1), 1, 0,
+                            r_out.reshape(2, 1, 1), rule, 1e-3)
+        assert np.array_equal(r_in, conv.ravel())
+        assert (r_in == 0.0).sum() == 2 and not np.signbit(r_in[r_in == 0.0]).any()
+
     def test_epsilon_leaks_but_stays_close(self):
         rng = rnd(4)
         h = rng.uniform(0.1, 1.0, size=6)
@@ -539,6 +552,17 @@ class TestHeatQuantize:
         raw = np.array([[5e-324, 0.0, 1e-323]])
         for bins in (4, 12):
             assert np.array_equal(lrp.heat_quantize(raw, bins, mode), raw)
+
+    @pytest.mark.parametrize("mode", ["paper", "binwidth"])
+    def test_overflowing_range_gives_finite_ordered_levels(self, mode):
+        # hi - lo overflows to inf; (raw - lo) / inf gave NaN levels
+        raw = np.array([[-1e308, 0.0, 1e308, 5e307]])
+        out = lrp.heat_quantize(raw, 8, mode)
+        assert np.all(np.isfinite(out))
+        order = np.argsort(raw.ravel(), kind="stable")
+        assert np.all(np.diff(out.ravel()[order]) >= 0)
+        width = 8.0 if mode == "paper" else 1e308 / 4  # (hi - lo) / 8
+        assert out[0, 2] == pytest.approx(-1e308 + 7 * width, rel=1e-15)  # top bin
 
     def test_max_lands_in_top_bin(self):
         raw = np.array([[0.0, 10.0]])

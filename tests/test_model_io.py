@@ -113,6 +113,37 @@ class TestLoadModel:
         with pytest.raises(GraphValidationError, match="fc followed by softmax"):
             load_model(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("stride", True), ("padding", 1.5), ("padding", "1"),
+        ("weight", None), ("bias", 5), ("bias", False)])
+    def test_conv_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
+        path, doc = minimal_manifest(tmp_path)
+        doc["stem"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadMagicError, match=rf"stem\[0\]: {field} must be"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [True, "1e-5", None])
+    def test_bn_eps_must_be_a_number(self, tmp_path, value):
+        graph = generate_toy_resnet(3, channels=4, blocks=1, num_classes=3, input_hw=8)
+        manifest = save_model(graph, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["stem"][1]["eps"] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(BadMagicError, match=r"stem\[1\]: eps must be a number"):
+            load_model(manifest)
+
+    def test_integer_eps_and_absent_bias_load(self, tmp_path):
+        graph = generate_toy_resnet(3, channels=4, blocks=1, num_classes=3, input_hw=8)
+        manifest = save_model(graph, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["stem"][1]["eps"] = 1
+        del doc["stem"][0]["bias"]
+        manifest.write_text(json.dumps(doc))
+        loaded = load_model(manifest)
+        assert loaded.stem[1].eps == 1.0 and type(loaded.stem[1].eps) is float
+        assert loaded.stem[0].bias is None
+
     @pytest.mark.parametrize("mutation", range(6))
     def test_mutated_extent_fails_to_load(self, tmp_path, mutation):
         graph = generate_toy_resnet(3, channels=4, blocks=1, num_classes=3, input_hw=8)
