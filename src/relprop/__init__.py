@@ -2,7 +2,7 @@
 conservation and an insertion/deletion faithfulness harness."""
 
 from .evaluate import (ConservationReport, EvalCurve, conservation_report, curve,
-                       id_score, perturb, rank_pixels, trapezoid_auc,
+                       curves, id_score, perturb, rank_pixels, trapezoid_auc,
                        write_curve_csv)
 from .forward import ForwardTrace, GraphExecutionError, run_forward
 from .image import (ImageFormatError, ImageSample, load_ppm, read_map_csv,
@@ -22,7 +22,7 @@ __all__ = [
     "ForwardTrace", "GraphExecutionError", "ImageFormatError", "ImageSample",
     "ModelError", "ModelGraph", "NodeSpec", "Preprocess", "RelevanceState",
     "RuleConfig", "ShapeMismatch", "bn_forward", "channel_sum",
-    "conservation_report", "conv2d_forward", "curve", "explain", "fc_forward",
+    "conservation_report", "conv2d_forward", "curve", "curves", "explain", "fc_forward",
     "gap_forward", "generate_toy_resnet", "heat_quantize", "id_score",
     "load_model", "load_ppm", "lrp_conv", "lrp_gap", "lrp_linear", "lrp_maxpool",
     "maxpool_forward", "passthrough", "perturb", "propagate_bottleneck",

@@ -12,9 +12,9 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -72,8 +72,8 @@ class JobConfig:
                                f"got {self.class_spec!r}")
         if self.steps < 2:
             raise CliError("--steps must be >= 2")
-        if self.tolerance < 0:
-            raise CliError("--tolerance must be >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise CliError(f"--tolerance must be finite and >= 0, got {self.tolerance}")
         if self.threads < 1:
             raise CliError("--threads must be >= 1")
         if self.topk < 1:
@@ -157,6 +157,8 @@ def _map_jobs(fn, items, threads: int) -> list:
     """Apply fn over items, optionally in a thread pool; order-preserving."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: a single-threaded run never loads the pool's modules.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -217,10 +219,7 @@ def _curves_for_image(graph: ModelGraph, job: JobConfig, path: Path
         amap = lrp.AttributionMap(raw=raw, quantized=None, quantize_mode="off",
                                   bins=job.rule_config.bins)
         c = _explicit_class(job, graph.num_classes)
-        if c is None:
-            c = int(np.argmax(run_forward(graph, sample.normalized)))
-    ins = ev.curve(graph, sample, amap, c, "insertion", job.steps)
-    dele = ev.curve(graph, sample, amap, c, "deletion", job.steps)
+    c, (ins, dele) = ev.curves(graph, sample, amap, c, job.steps)
     return c, ins, dele
 
 

@@ -3,6 +3,10 @@ trace the backward relevance pass needs (the inputs of conv, fc and gap
 layers, every layer's input shape, pooling winner indices, and the pre-merge
 skip/main outputs of each block).
 
+Every run is a stack of images along a leading batch axis; a single image
+runs as a stack of one. A trace is of one image, and holds its per-image
+C x H x W arrays.
+
 Everything here is a pure function of (graph, input); a loaded graph is
 immutable and may be shared across concurrent runs.
 """
@@ -84,10 +88,10 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
         y = ops.softmax(x)
     else:
         raise GraphExecutionError(f"unknown node kind {kind!r}")
-    if sink is not None:
-        sink.append(NodeTrace(spec=node, x_shape=x.shape,
-                              x=x if kind in KEEPS_INPUT else None,
-                              weight=weight, pool_indices=pool_indices))
+    if sink is not None:  # a traced run is a stack of one
+        sink.append(NodeTrace(spec=node, x_shape=x.shape[1:],
+                              x=x[0] if kind in KEEPS_INPUT else None, weight=weight,
+                              pool_indices=None if pool_indices is None else pool_indices[0]))
     return y
 
 
@@ -112,29 +116,38 @@ def _run_block(graph: ModelGraph, block: BottleneckSpec, x: np.ndarray, where: s
     else:
         h_s = _run_sequence(graph, block.skip, x, f"{where}.skip", skip_sink)
     if h_s.shape != h_m.shape:
-        raise GraphExecutionError(f"{where}: skip output {h_s.shape} does not match "
-                                  f"main output {h_m.shape}")
+        raise GraphExecutionError(f"{where}: skip output {h_s.shape[1:]} does not match "
+                                  f"main output {h_m.shape[1:]}")
     y = h_s + h_m
     if block.post_merge_relu:
         y = ops.relu_forward(y)
     trace = None
     if want_trace:
-        trace = BlockTrace(spec=block, x=x, main=main_sink, skip=skip_sink,
-                           h_s=h_s, h_m=h_m)
+        trace = BlockTrace(spec=block, x=x[0], main=main_sink, skip=skip_sink,
+                           h_s=h_s[0], h_m=h_m[0])
     return y, trace
 
 
 def run_forward(graph: ModelGraph, x: np.ndarray,
                 want_trace: bool = False) -> np.ndarray | ForwardTrace:
-    """Run the network on a normalized 3 x H x W input.
+    """Run the network on a normalized 3 x H x W input, or on a stack of them.
 
-    Returns the class probability vector, or the full :class:`ForwardTrace`
-    when ``want_trace`` is set.
+    Returns the class probability vector (N x classes for an N x 3 x H x W
+    stack), or the full :class:`ForwardTrace` of a single image when
+    ``want_trace`` is set. Each row of a stack's result is bit for bit the
+    result of that image alone (see :mod:`relprop.ops`), and a single image
+    runs as a stack of one.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3 or x.shape[0] != 3:
-        raise GraphExecutionError(f"network input must be 3 x H x W, got {x.shape}")
+    if x.ndim not in (3, 4) or x.shape[-3] != 3:
+        raise GraphExecutionError(
+            f"network input must be 3 x H x W or N x 3 x H x W, got {x.shape}")
+    if want_trace and x.ndim != 3:
+        raise GraphExecutionError(f"a traced forward takes one 3 x H x W image, got {x.shape}")
     trace = ForwardTrace(x=x) if want_trace else None
+    single = x.ndim == 3
+    if single:
+        x = x[None]
 
     x = _run_sequence(graph, graph.stem, x, "stem",
                       trace.stem if want_trace else None)
@@ -145,6 +158,6 @@ def run_forward(graph: ModelGraph, x: np.ndarray,
     probs = _run_sequence(graph, graph.head, x, "head",
                           trace.head if want_trace else None)
     if want_trace:
-        trace.probs = probs
+        trace.probs = probs[0]
         return trace
-    return probs
+    return probs[0] if single else probs

@@ -75,8 +75,8 @@ class RuleConfig:
             raise ValueError(f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}")
         if self.quantize not in QUANTIZE_MODES:
             raise ValueError(f"quantize must be one of {QUANTIZE_MODES}, got {self.quantize!r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if self.mixture_boundary < 0:

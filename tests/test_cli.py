@@ -249,14 +249,16 @@ class TestDeterminism:
 
 
 def count_forwards(monkeypatch) -> dict[str, int]:
-    """Count run_forward calls under the name each module looks it up by."""
+    """Count run_forward calls, and the images they forward (``<name>_images``),
+    under the name each module looks it up by."""
     counts = {}
     for name, module in (("cli", cli), ("lrp", lrp), ("evaluate", ev)):
-        counts[name] = 0
+        counts[name] = counts[f"{name}_images"] = 0
 
-        def counting(*args, _name=name, _original=module.run_forward, **kwargs):
+        def counting(graph, x, *args, _name=name, _original=module.run_forward, **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            counts[f"{_name}_images"] += len(x) if np.ndim(x) == 4 else 1
+            return _original(graph, x, *args, **kwargs)
         monkeypatch.setattr(module, "run_forward", counting)
     return counts
 
@@ -278,8 +280,11 @@ class TestOneForwardPerImage:
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
         assert counts["cli"] + counts["lrp"] == images
-        # the curves alone: insertion and deletion over 5 step counts each
-        assert counts["evaluate"] == (images * 2 * 5 if command == "evaluate" else 0)
+        # the curves alone: insertion and deletion over 5 step counts each,
+        # which share the untouched and the all-zero image, as one stack
+        assert counts["evaluate"] == (images if command == "evaluate" else 0)
+        assert counts["evaluate_images"] == (images * (2 * 5 - 2) if command == "evaluate"
+                                             else 0)
 
     @pytest.mark.parametrize("command", ["explain", "check-conservation", "evaluate"])
     def test_auto_class_matches_explicit(self, tmp_path, capsys, command):

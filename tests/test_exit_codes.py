@@ -134,6 +134,14 @@ CASES = {
         ["evaluate", "--model", "toy", "--image", image(tmp_path), "--recompute",
          "--steps", "1", "--out", str(tmp_path / "ev")], 2, "--steps"),
     "unknown_rule_flag": fixed(explain("--rule", "gamma"), 2, "invalid choice"),
+    "tolerance_nan": lambda tmp_path: (
+        ["check-conservation", "--model", "toy", "--seed", "7", "--image", image(tmp_path),
+         "--tolerance", "nan", "--out", str(tmp_path / "cons")], 2, "--tolerance"),
+    "tolerance_inf": lambda tmp_path: (
+        ["check-conservation", "--model", "toy", "--seed", "7", "--image", image(tmp_path),
+         "--tolerance", "inf", "--out", str(tmp_path / "cons")], 2, "--tolerance"),
+    "epsilon_inf": fixed(explain("--rule", "epsilon", "--epsilon", "inf"), 2,
+                         "epsilon must be finite"),
     "empty_image_manifest": empty_image_manifest,
     "zplus_zero_tolerance": zplus_zero_tolerance,
 }
