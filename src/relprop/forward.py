@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .model import BottleneckSpec, ModelGraph, NodeSpec
+from .model import BottleneckSpec, ModelGraph, NodeSpec, node_location
 
 
 class GraphExecutionError(RuntimeError):
@@ -46,7 +46,6 @@ class BlockTrace:
     """Cached context for one executed bottleneck block."""
 
     spec: BottleneckSpec
-    x: np.ndarray                       # block input
     main: list[NodeTrace]
     skip: list[NodeTrace] | None        # None for an identity skip
     h_s: np.ndarray                     # skip output, pre-merge
@@ -67,10 +66,11 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
     kind = node.kind
     weight = None
     pool_indices = None
-    if kind == "conv":
+    if kind in ("conv", "fc"):
         weight = graph.tensor(node.weight)
         bias = graph.tensor(node.bias) if node.bias is not None else None
-        y = ops.conv2d_forward(x, weight, bias, node.stride, node.padding)
+        y = (ops.conv2d_forward(x, weight, bias, node.stride, node.padding)
+             if kind == "conv" else ops.fc_forward(x, weight, bias))
     elif kind == "bn":
         y = ops.bn_forward(x, graph.tensor(node.gamma), graph.tensor(node.beta),
                            graph.tensor(node.mean), graph.tensor(node.var), node.eps)
@@ -80,10 +80,6 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
         y, pool_indices = ops.maxpool_forward(x, node.k, node.stride, node.padding)
     elif kind == "gap":
         y = ops.gap_forward(x)
-    elif kind == "fc":
-        weight = graph.tensor(node.weight)
-        bias = graph.tensor(node.bias) if node.bias is not None else None
-        y = ops.fc_forward(x, weight, bias)
     elif kind == "softmax":
         y = ops.softmax(x)
     else:
@@ -95,35 +91,38 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
     return y
 
 
-def _run_sequence(graph: ModelGraph, nodes, x: np.ndarray, where: str,
-                  sink: list[NodeTrace] | None) -> np.ndarray:
+def _run_sequence(graph: ModelGraph, nodes, x: np.ndarray, segment: str,
+                  block: int | None, sink: list[NodeTrace] | None) -> np.ndarray:
     for i, node in enumerate(nodes):
         try:
             x = _run_node(graph, node, x, sink)
         except (ValueError, KeyError) as exc:
-            raise GraphExecutionError(f"{where}[{i}] ({node.kind}): {exc}") from exc
+            raise GraphExecutionError(
+                f"{node_location(segment, i, block)} ({node.kind}): {exc}") from exc
     return x
 
 
-def _run_block(graph: ModelGraph, block: BottleneckSpec, x: np.ndarray, where: str,
+def _run_block(graph: ModelGraph, b: int, x: np.ndarray,
                want_trace: bool) -> tuple[np.ndarray, BlockTrace | None]:
+    block = graph.blocks[b]
     main_sink: list[NodeTrace] | None = [] if want_trace else None
     skip_sink: list[NodeTrace] | None = [] if want_trace else None
-    h_m = _run_sequence(graph, block.main, x, f"{where}.main", main_sink)
+    h_m = _run_sequence(graph, block.main, x, "main", b, main_sink)
     if block.skip is None:
         h_s = x
         skip_sink = None
     else:
-        h_s = _run_sequence(graph, block.skip, x, f"{where}.skip", skip_sink)
+        h_s = _run_sequence(graph, block.skip, x, "skip", b, skip_sink)
     if h_s.shape != h_m.shape:
-        raise GraphExecutionError(f"{where}: skip output {h_s.shape[1:]} does not match "
-                                  f"main output {h_m.shape[1:]}")
+        raise GraphExecutionError(f"{node_location('blocks', b)}: skip output "
+                                  f"{h_s.shape[1:]} does not match main output "
+                                  f"{h_m.shape[1:]}")
     y = h_s + h_m
     if block.post_merge_relu:
         y = ops.relu_forward(y)
     trace = None
     if want_trace:
-        trace = BlockTrace(spec=block, x=x[0], main=main_sink, skip=skip_sink,
+        trace = BlockTrace(spec=block, main=main_sink, skip=skip_sink,
                            h_s=h_s[0], h_m=h_m[0])
     return y, trace
 
@@ -149,13 +148,13 @@ def run_forward(graph: ModelGraph, x: np.ndarray,
     if single:
         x = x[None]
 
-    x = _run_sequence(graph, graph.stem, x, "stem",
+    x = _run_sequence(graph, graph.stem, x, "stem", None,
                       trace.stem if want_trace else None)
-    for b, block in enumerate(graph.blocks):
-        x, block_trace = _run_block(graph, block, x, f"blocks[{b}]", want_trace)
+    for b in range(len(graph.blocks)):
+        x, block_trace = _run_block(graph, b, x, want_trace)
         if want_trace:
             trace.blocks.append(block_trace)
-    probs = _run_sequence(graph, graph.head, x, "head",
+    probs = _run_sequence(graph, graph.head, x, "head", None,
                           trace.head if want_trace else None)
     if want_trace:
         trace.probs = probs[0]

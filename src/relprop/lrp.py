@@ -346,6 +346,14 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
     raise ValueError(f"unknown node kind {kind!r}")
 
 
+def path_backward(traces: list[NodeTrace], r: np.ndarray, rule: str, epsilon: float,
+                  work: Workspace | None) -> np.ndarray:
+    """Backward relevance through a traced path of nodes, last node first."""
+    for node_trace in reversed(traces):
+        r = node_backward(node_trace, r, rule, epsilon, work=work)
+    return r
+
+
 def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
                          rule: str | None = None, *,
                          work: Workspace | None = None) -> np.ndarray:
@@ -364,13 +372,11 @@ def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
     r = passthrough(r)  # post-merge relu
     r_s, r_m = split_relevance(r, trace.h_s, trace.h_m, config.splitting,
                                config.include_identity, trace.spec.identity_skip)
-    for node_trace in reversed(trace.main):
-        r_m = node_backward(node_trace, r_m, rule, config.epsilon, work=work)
+    r_m = path_backward(trace.main, r_m, rule, config.epsilon, work)
     if not trace.spec.identity_skip:
         if trace.skip is None or len(trace.skip) != 2:
             raise LookupError("block trace is missing the projection skip cache")
-        for node_trace in reversed(trace.skip):
-            r_s = node_backward(node_trace, r_s, rule, config.epsilon, work=work)
+        r_s = path_backward(trace.skip, r_s, rule, config.epsilon, work)
     r_m += r_s  # r_m is a fresh array: the split's share or a layer's output
     return r_m
 
@@ -452,21 +458,15 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     state = RelevanceState(current=r, class_index=class_index)
     state.record(CHECKPOINT_SEED, r)
 
+    # The seed is the softmax output, the head's last node (validate_graph
+    # allows a softmax nowhere else).
     work = Workspace()
-    head_rule = config.rule_for_head()
-    for node_trace in reversed(trace.head):
-        if node_trace.spec.kind == "softmax":
-            continue
-        r = node_backward(node_trace, r, head_rule, config.epsilon, work=work)
-
+    r = path_backward(trace.head[:-1], r, config.rule_for_head(), config.epsilon, work)
     for b in range(len(trace.blocks) - 1, -1, -1):
         r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_for_block(b),
                                  work=work)
         state.record(block_input_label(b + 1), r)
-
-    stem_rule = config.rule_for_stem()
-    for node_trace in reversed(trace.stem):
-        r = node_backward(node_trace, r, stem_rule, config.epsilon, work=work)
+    r = path_backward(trace.stem, r, config.rule_for_stem(), config.epsilon, work)
     state.record(CHECKPOINT_INPUT, r)
 
     raw = channel_sum(r)

@@ -25,7 +25,6 @@ NODE_FIELDS = {
     "fc": ("weight", "bias"),
     "softmax": (),
 }
-NODE_KINDS = tuple(NODE_FIELDS)
 TENSOR_FIELDS = ("weight", "bias", "gamma", "beta", "mean", "var")
 
 
@@ -138,22 +137,22 @@ class BottleneckSpec:
                 "post_merge_relu": self.post_merge_relu}
 
     @staticmethod
-    def from_json(obj: dict, where: str) -> "BottleneckSpec":
+    def from_json(obj: dict, index: int) -> "BottleneckSpec":
+        """Parse block ``index`` of the manifest; ``validate_graph`` checks the
+        kinds of a projection skip's two nodes."""
+        where = node_location("blocks", index)
         if not isinstance(obj, dict):
             raise GraphValidationError(f"{where}: block is not an object")
-        main = tuple(NodeSpec.from_json(n, f"{where}.main[{i}]")
+        main = tuple(NodeSpec.from_json(n, node_location("main", i, index))
                      for i, n in enumerate(obj.get("main", [])))
         skip_obj = obj.get("skip")
         if not isinstance(skip_obj, dict) or skip_obj.get("kind") not in ("identity", "projection"):
             raise GraphValidationError(f"{where}: skip must be identity or projection")
-        if skip_obj["kind"] == "identity":
-            skip = None
-        else:
-            conv = NodeSpec.from_json(skip_obj.get("conv"), f"{where}.skip.conv")
-            bn = NodeSpec.from_json(skip_obj.get("bn"), f"{where}.skip.bn")
-            if conv.kind != "conv" or bn.kind != "bn":
-                raise GraphValidationError(f"{where}: projection skip must be conv + bn")
-            skip = (conv, bn)
+        skip = None
+        if skip_obj["kind"] == "projection":
+            skip = tuple(NodeSpec.from_json(skip_obj.get(name),
+                                            node_location("skip", i, index))
+                         for i, name in enumerate(("conv", "bn")))
         post_merge_relu = obj.get("post_merge_relu", True)
         if not isinstance(post_merge_relu, bool):
             raise TypeError(f"{where}: post_merge_relu must be true or false, "
@@ -184,105 +183,93 @@ class ModelGraph:
         return self.tensors[name]
 
 
-def _tensor_refs(node: NodeSpec) -> list[str]:
-    names = (getattr(node, name) for name in TENSOR_FIELDS)
-    return [n for n in names if n is not None]
+def node_location(segment: str, index: int, block: int | None = None) -> str:
+    """Where a node sits in the manifest, as every error names it: ``stem[i]``,
+    ``head[i]``, ``blocks[b].main[i]``, and ``blocks[b].skip.conv`` or
+    ``blocks[b].skip.bn`` for index 0 or 1 of a projection skip. Without a
+    ``block``, ``node_location("blocks", b)`` names block ``b`` itself."""
+    if block is None:
+        return f"{segment}[{index}]"
+    if segment == "skip":
+        return f"blocks[{block}].skip.{('conv', 'bn')[index]}"
+    return f"blocks[{block}].{segment}[{index}]"
 
 
-def _iter_nodes(graph: ModelGraph):
-    """Yield (location, node) for every node in forward order."""
-    for i, n in enumerate(graph.stem):
-        yield f"stem[{i}]", n
-    for b, block in enumerate(graph.blocks):
-        for i, n in enumerate(block.main):
-            yield f"blocks[{b}].main[{i}]", n
-        if block.skip is not None:
-            yield f"blocks[{b}].skip.conv", block.skip[0]
-            yield f"blocks[{b}].skip.bn", block.skip[1]
-    for i, n in enumerate(graph.head):
-        yield f"head[{i}]", n
+def _check_node(graph: ModelGraph, node: NodeSpec, channels: int, where: str) -> int:
+    """Check one node against the channel count it receives; returns the
+    channel count it outputs."""
+    kind = node.kind
+    if kind not in NODE_FIELDS:
+        raise GraphValidationError(f"{where}: unknown node kind {kind!r}")
+    for name in TENSOR_FIELDS:
+        ref = getattr(node, name)
+        if ref is not None and ref not in graph.tensors:
+            raise DanglingTensorNameError(f"{where}: unresolved tensor {ref}")
+    if kind in ("conv", "fc"):
+        w = graph.tensors[node.weight]
+        if kind == "conv" and (w.ndim != 4 or w.shape[2] != w.shape[3]):
+            raise GraphValidationError(f"{where}: conv weight {node.weight} must be "
+                                       f"C_out x C_in x k x k, got {w.shape}")
+        if kind == "fc" and w.ndim != 2:
+            raise GraphValidationError(f"{where}: fc weight must be rank 2, got {w.shape}")
+        if w.shape[1] != channels:
+            raise GraphValidationError(f"{where}: {kind} expects {w.shape[1]} input "
+                                       f"channels but receives {channels}")
+        bias = None if node.bias is None else graph.tensors[node.bias]
+        if bias is not None and bias.shape != (w.shape[0],):
+            raise GraphValidationError(f"{where}: {kind} bias {node.bias} must have "
+                                       f"{w.shape[0]} entries, got {bias.shape}")
+        if node.stride < 1 or node.padding < 0:
+            raise GraphValidationError(f"{where}: invalid stride/padding")
+        return int(w.shape[0])
+    if kind == "bn":
+        for attr in ("gamma", "beta", "mean", "var"):
+            t = graph.tensors[getattr(node, attr)]
+            if t.shape != (channels,):
+                raise GraphValidationError(f"{where}: bn {attr} must have {channels} "
+                                           f"entries, got {t.shape}")
+        if (graph.tensors[node.var] < 0).any():
+            raise GraphValidationError(f"{where}: bn variance has negative entries")
+    elif kind == "maxpool":
+        if node.k < 1 or node.stride < 1 or node.padding < 0:
+            raise GraphValidationError(f"{where}: invalid maxpool hyperparameters")
+        if node.padding >= node.k:
+            raise GraphValidationError(f"{where}: maxpool window lies entirely in padding "
+                                       f"(padding {node.padding} >= k {node.k})")
+    return channels
 
 
-def _check_conv(graph: ModelGraph, node: NodeSpec, channels: int, where: str) -> int:
-    w = graph.tensors[node.weight]
-    if w.ndim != 4 or w.shape[2] != w.shape[3]:
-        raise GraphValidationError(f"{where}: conv weight {node.weight} must be "
-                                   f"C_out x C_in x k x k, got {w.shape}")
-    if w.shape[1] != channels:
-        raise GraphValidationError(f"{where}: conv expects {w.shape[1]} input channels "
-                                   f"but receives {channels}")
-    if node.bias is not None:
-        b = graph.tensors[node.bias]
-        if b.shape != (w.shape[0],):
-            raise GraphValidationError(f"{where}: conv bias {node.bias} must have "
-                                       f"{w.shape[0]} entries, got {b.shape}")
-    if node.stride < 1 or node.padding < 0:
-        raise GraphValidationError(f"{where}: invalid stride/padding")
-    return int(w.shape[0])
-
-
-def _check_bn(graph: ModelGraph, node: NodeSpec, channels: int, where: str) -> None:
-    for attr in ("gamma", "beta", "mean", "var"):
-        t = graph.tensors[getattr(node, attr)]
-        if t.shape != (channels,):
-            raise GraphValidationError(f"{where}: bn {attr} must have {channels} "
-                                       f"entries, got {t.shape}")
-    if (graph.tensors[node.var] < 0).any():
-        raise GraphValidationError(f"{where}: bn variance has negative entries")
-
-
-def _chain_main(graph: ModelGraph, nodes: tuple[NodeSpec, ...], channels: int,
-                where: str) -> tuple[int, int]:
-    """Walk a conv/bn/relu sequence; returns (output channels, stride product)."""
+def _check_path(graph: ModelGraph, nodes, channels: int, segment: str,
+                block: int | None = None, barred: tuple[str, ...] = (),
+                place: str = "") -> tuple[int, int]:
+    """Check a stem, main or skip path, none of whose nodes may be of a
+    ``barred`` kind; returns (output channels, conv stride product)."""
     stride = 1
     for i, node in enumerate(nodes):
-        loc = f"{where}[{i}]"
+        where = node_location(segment, i, block)
+        if node.kind in barred:
+            raise GraphValidationError(f"{where}: {node.kind} not allowed {place}")
+        channels = _check_node(graph, node, channels, where)
         if node.kind == "conv":
-            channels = _check_conv(graph, node, channels, loc)
             stride *= node.stride
-        elif node.kind == "bn":
-            _check_bn(graph, node, channels, loc)
-        elif node.kind == "relu":
-            pass
-        else:
-            raise GraphValidationError(f"{loc}: {node.kind} not allowed inside a block")
     return channels, stride
 
 
 def validate_graph(graph: ModelGraph) -> None:
     """Chain shapes through stem, blocks, and head; raise on any inconsistency."""
-    for where, node in _iter_nodes(graph):
-        if node.kind not in NODE_KINDS:
-            raise GraphValidationError(f"{where}: unknown node kind {node.kind!r}")
-        for name in _tensor_refs(node):
-            if name not in graph.tensors:
-                raise DanglingTensorNameError(f"{where}: unresolved tensor {name}")
-
-    channels = 3
-    for i, node in enumerate(graph.stem):
-        where = f"stem[{i}]"
-        if node.kind == "conv":
-            channels = _check_conv(graph, node, channels, where)
-        elif node.kind == "bn":
-            _check_bn(graph, node, channels, where)
-        elif node.kind == "maxpool":
-            if node.k < 1 or node.stride < 1 or node.padding < 0:
-                raise GraphValidationError(f"{where}: invalid maxpool hyperparameters")
-        elif node.kind in ("gap", "fc", "softmax"):
-            raise GraphValidationError(f"{where}: {node.kind} not allowed in the stem")
-
+    channels, _ = _check_path(graph, graph.stem, 3, "stem",
+                              barred=("gap", "fc", "softmax"), place="in the stem")
     for b, block in enumerate(graph.blocks):
-        where = f"blocks[{b}]"
-        main_out, main_stride = _chain_main(graph, block.main, channels, f"{where}.main")
+        where = node_location("blocks", b)
+        main_out, main_stride = _check_path(graph, block.main, channels, "main", b,
+                                            barred=("maxpool", "gap", "fc", "softmax"),
+                                            place="inside a block")
         if block.skip is None:
             skip_out, skip_stride = channels, 1
         else:
-            conv, bn = block.skip
-            if conv.kind != "conv" or bn.kind != "bn":
+            if tuple(n.kind for n in block.skip) != ("conv", "bn"):
                 raise GraphValidationError(f"{where}: projection skip must be conv + bn")
-            skip_out = _check_conv(graph, conv, channels, f"{where}.skip.conv")
-            _check_bn(graph, bn, skip_out, f"{where}.skip.bn")
-            skip_stride = conv.stride
+            skip_out, skip_stride = _check_path(graph, block.skip, channels, "skip", b)
         if main_out != skip_out:
             raise GraphValidationError(f"{where}: main path outputs {main_out} channels "
                                        f"but skip outputs {skip_out}")
@@ -291,39 +278,22 @@ def validate_graph(graph: ModelGraph) -> None:
                                        f"skip stride {skip_stride}")
         channels = main_out
 
-    fc_count = sum(1 for n in graph.head if n.kind == "fc")
-    if len(graph.head) < 2 or graph.head[-2].kind != "fc" or graph.head[-1].kind != "softmax" \
-            or fc_count != 1:
+    kinds = [n.kind for n in graph.head]
+    if kinds[-2:] != ["fc", "softmax"] or kinds.count("fc") != 1:
         raise GraphValidationError("head must end with exactly one fc followed by softmax")
     vector = False
     for i, node in enumerate(graph.head):
-        where = f"head[{i}]"
-        if vector and node.kind in ("conv", "bn", "maxpool"):
+        where = node_location("head", i)
+        if vector and node.kind in ("conv", "bn", "maxpool", "gap"):
             raise GraphValidationError(f"{where}: {node.kind} after gap")
-        if node.kind == "conv":
-            channels = _check_conv(graph, node, channels, where)
-        elif node.kind == "bn":
-            _check_bn(graph, node, channels, where)
-        elif node.kind == "gap":
-            if vector:
-                raise GraphValidationError(f"{where}: repeated gap")
-            vector = True
-        elif node.kind == "fc":
-            if not vector:
-                raise GraphValidationError(f"{where}: fc requires a rank-1 input; "
-                                           "place gap before it")
-            w = graph.tensors[node.weight]
-            if w.ndim != 2:
-                raise GraphValidationError(f"{where}: fc weight must be rank 2, got {w.shape}")
-            if w.shape[1] != channels:
-                raise GraphValidationError(f"{where}: fc expects {w.shape[1]} inputs "
-                                           f"but receives {channels}")
-            if node.bias is not None:
-                bias = graph.tensors[node.bias]
-                if bias.shape != (w.shape[0],):
-                    raise GraphValidationError(f"{where}: fc bias must have {w.shape[0]} "
-                                               f"entries, got {bias.shape}")
-            channels = int(w.shape[0])
+        if node.kind == "fc" and not vector:
+            raise GraphValidationError(f"{where}: fc requires a rank-1 input; "
+                                       "place gap before it")
+        if node.kind == "softmax" and i != len(graph.head) - 1:
+            raise GraphValidationError(f"{where}: softmax is allowed only as the last "
+                                       "head node; relevance never crosses one")
+        vector = vector or node.kind == "gap"
+        channels = _check_node(graph, node, channels, where)
     if channels != graph.num_classes:
         raise GraphValidationError(f"head produces {channels} classes, manifest declares "
                                    f"{graph.num_classes}")
@@ -369,11 +339,10 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
         preprocess = Preprocess(mean=tuple(float(v) for v in pre["mean"]),
                                 std=tuple(float(v) for v in pre["std"]))
         num_classes = int(doc["num_classes"])
-        stem = tuple(NodeSpec.from_json(n, f"stem[{i}]")
+        stem = tuple(NodeSpec.from_json(n, node_location("stem", i))
                      for i, n in enumerate(doc["stem"]))
-        blocks = tuple(BottleneckSpec.from_json(b, f"blocks[{i}]")
-                       for i, b in enumerate(doc["blocks"]))
-        head = tuple(NodeSpec.from_json(n, f"head[{i}]")
+        blocks = tuple(BottleneckSpec.from_json(b, i) for i, b in enumerate(doc["blocks"]))
+        head = tuple(NodeSpec.from_json(n, node_location("head", i))
                      for i, n in enumerate(doc["head"]))
         tensor_table = doc["tensors"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -167,14 +167,17 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
 
     For an N x C x H x W stack the offsets index each image's own C x H x W map.
 
-    Padding cells count as -inf and can never win; a window made entirely of
-    padding is an error. Ties go to the lowest flat offset, and a NaN in a
+    Padding cells count as -inf and can never win. A window made entirely of
+    padding (``padding >= k``) is an error, and so is one whose input cells
+    are all -inf. Ties go to the lowest flat offset, and a NaN in a
     window wins over every number in it.
     """
     xb, batched = _as_batch(x, 3, "maxpool", "C x H x W")
     n, c, h, w = xb.shape
     out_h = conv_output_extent(h, k, stride, padding, "height")
     out_w = conv_output_extent(w, k, stride, padding, "width")
+    if padding >= k:  # then the first window holds no input cell
+        raise ValueError("maxpool window lies entirely in padding")
 
     # Pooling is per channel, so the stack pools as one map of N*C channels.
     # One strided view per window offset, in flat-offset order.
@@ -186,7 +189,7 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     for v in views[1:]:
         np.maximum(best, v, out=best)
     if np.isneginf(best).any():
-        raise ValueError("maxpool window lies entirely in padding")
+        raise ValueError("maxpool window holds only -inf values")
 
     # The winner is the first view that attains the max (or holds a NaN, which
     # np.maximum propagates). Branch-free: masked writes are slower here.
@@ -224,7 +227,9 @@ def gap_forward(x) -> np.ndarray:
 
 
 def fc_forward(x, weight, bias=None) -> np.ndarray:
-    """Affine map: weight (E x D) @ x (D) + bias (E), per row of an N x D x."""
+    """Affine map: weight (E x D) @ x (D) + bias (E), per row of an N x D x.
+    It runs as the 1x1 conv of an E x D x 1 x 1 filter bank on x as a D x 1 x 1
+    map, so every row gets the conv's one matrix-vector product."""
     xb, batched = _as_batch(x, 1, "fc", "D")
     weight = _as_f32(weight)
     if weight.ndim != 2:
@@ -232,14 +237,9 @@ def fc_forward(x, weight, bias=None) -> np.ndarray:
     e, d = weight.shape
     if d != xb.shape[1]:
         raise ShapeMismatch(f"fc weight expects {d} inputs, input has {xb.shape[1]}")
-    # One matrix-vector product per row, as for a single input.
-    y = (weight.astype(np.float64) @ xb.astype(np.float64)[:, :, None])[:, :, 0]
-    if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (e,):
-            raise ShapeMismatch(f"fc bias must have {e} entries, got shape {bias.shape}")
-        y += bias.astype(np.float64)
-    y = y.astype(np.float32)
+    if bias is not None and np.shape(bias) != (e,):
+        raise ShapeMismatch(f"fc bias must have {e} entries, got shape {np.shape(bias)}")
+    y = conv2d_forward(xb[:, :, None, None], weight[:, :, None, None], bias)[:, :, 0, 0]
     return y if batched else y[0]
 
 

@@ -142,6 +142,8 @@ def fc_oracle_explain(graph, x0, class_index):
 def maxpool_argmax_reference(x, k, stride, padding=0):
     """Max pooling by argmax over a copy of every window; ties to the lowest
     window offset, a NaN wins its window."""
+    if padding >= k:
+        raise ValueError("maxpool window lies entirely in padding")
     x = np.ascontiguousarray(x, dtype=np.float32)
     c, h, w = x.shape
     out_h = (h + 2 * padding - k) // stride + 1
@@ -153,7 +155,7 @@ def maxpool_argmax_reference(x, k, stride, padding=0):
     arg = flat_win.argmax(axis=-1)
     out = np.take_along_axis(flat_win, arg[..., None], axis=-1)[..., 0]
     if np.isneginf(out).any():
-        raise ValueError("maxpool window lies entirely in padding")
+        raise ValueError("maxpool window holds only -inf values")
     di, dj = arg // k, arg % k
     rows = (np.arange(out_h) * stride - padding)[None, :, None] + di
     cols = (np.arange(out_w) * stride - padding)[None, None, :] + dj

@@ -169,6 +169,17 @@ class TestShapeErrors:
                            match=r"^stem\[3\] \(maxpool\): non-integral output height"):
             run_forward(generate_toy_resnet(7), np.zeros(shape, np.float32))
 
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 3, 8, 8)])
+    def test_skip_error_names_its_manifest_location(self, shape):
+        graph = generate_toy_resnet(7)
+        conv, bn = graph.blocks[0].skip
+        tensors = dict(graph.tensors, **{bn.var: np.zeros_like(graph.tensors[bn.var])})
+        skip = (conv, dataclasses.replace(bn, eps=0.0))
+        block = dataclasses.replace(graph.blocks[0], skip=skip)
+        graph = dataclasses.replace(graph, blocks=(block,) + graph.blocks[1:], tensors=tensors)
+        with pytest.raises(GraphExecutionError, match=r"^blocks\[0\]\.skip\.bn \(bn\): "):
+            run_forward(graph, np.zeros(shape, np.float32))
+
     @pytest.mark.parametrize("shape", [(8, 8), (2, 4, 8, 8), (1, 1, 3, 8, 8)])
     def test_input_rank_and_channels(self, shape):
         with pytest.raises(GraphExecutionError, match="3 x H x W or N x 3 x H x W"):

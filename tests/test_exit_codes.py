@@ -102,6 +102,12 @@ def zplus_zero_tolerance(tmp_path):
     return argv, 3, None
 
 
+def insert_node(segment, index, node):
+    def edit(doc):
+        doc[segment].insert(index, node)
+    return edit
+
+
 def fixed(argv_of, code, fragment):
     return lambda tmp_path: (argv_of(tmp_path), code, fragment)
 
@@ -124,6 +130,13 @@ CASES = {
     "manifest_bool_as_string": infer_with_manifest(
         set_key(["blocks", 1, "post_merge_relu"], "false"),
         "blocks[1]: post_merge_relu must be true or false"),
+    "manifest_head_maxpool_hyperparameters": infer_with_manifest(
+        insert_node("head", 0, {"kind": "maxpool", "k": 0, "stride": 0, "padding": -1}),
+        "head[0]: invalid maxpool hyperparameters"),
+    "manifest_maxpool_all_padding": infer_with_manifest(
+        set_key(["stem", 3, "padding"], 2), "stem[3]: maxpool window lies entirely in padding"),
+    "manifest_inner_softmax": infer_with_manifest(
+        insert_node("head", 1, {"kind": "softmax"}), "head[1]: softmax is allowed only as"),
     "missing_image": missing_image,
     "bad_ppm": bad_ppm,
     "non_finite_csv": non_finite_csv,

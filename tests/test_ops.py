@@ -148,6 +148,15 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="padding"):
             ops.maxpool_forward(x, k=2, stride=2, padding=2)
 
+    @pytest.mark.parametrize("fill,k,padding,message", [
+        (1.0, 1, 1, "maxpool window lies entirely in padding"),
+        (-np.inf, 2, 0, "maxpool window holds only -inf values"),
+        (-np.inf, 2, 1, "maxpool window holds only -inf values")])
+    def test_empty_window_message(self, fill, k, padding, message):
+        x = np.full((2, 1, 4, 4), fill, dtype=np.float32)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ops.maxpool_forward(x, k=k, stride=2 if k == 2 else 1, padding=padding)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1, 2])
