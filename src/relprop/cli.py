@@ -62,11 +62,14 @@ class JobConfig:
     seed: int = 0
     attribution: str | None = None
     recompute: bool = False
+    # --class as parsed: None for 'auto' (the argmax of the image's forward).
+    # The engine range-checks it against the model.
+    class_index: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.class_spec != "auto":
             try:
-                int(self.class_spec)
+                self.class_index = int(self.class_spec)
             except ValueError:
                 raise CliError(f"--class must be 'auto' or an integer, "
                                f"got {self.class_spec!r}")
@@ -86,10 +89,7 @@ class JobConfig:
         rule_flags = {f.name: flags.pop(f.name) for f in fields(lrp.RuleConfig)
                       if f.name in flags}
         job = JobConfig(**flags)
-        try:
-            job.rule_config = lrp.RuleConfig(**rule_flags)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        job.rule_config = lrp.RuleConfig(**rule_flags)
         return job
 
 
@@ -139,16 +139,6 @@ def _image_paths(job: JobConfig) -> list[Path]:
     return paths
 
 
-def _explicit_class(job: JobConfig, num_classes: int) -> int | None:
-    """The --class index, or None for 'auto' (the argmax of the image's forward)."""
-    if job.class_spec == "auto":
-        return None
-    c = int(job.class_spec)
-    if not 0 <= c < num_classes:
-        raise CliError(f"--class {c} out of range for {num_classes} classes")
-    return c
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
@@ -178,48 +168,46 @@ def cmd_infer(job: JobConfig) -> int:
 
 
 def _explain_one(graph: ModelGraph, job: JobConfig, path: Path
-                 ) -> tuple[ImageSample, int, lrp.AttributionMap, lrp.RelevanceState]:
+                 ) -> tuple[ImageSample, lrp.AttributionMap, lrp.RelevanceState]:
     sample = load_ppm(path, graph.preprocess)
-    c = _explicit_class(job, graph.num_classes)
-    amap, state = lrp.explain(graph, sample, c, job.rule_config)
-    return sample, state.class_index, amap, state
+    return sample, *lrp.explain(graph, sample, job.class_index, job.rule_config)
+
+
+def _verdict(job: JobConfig, worst: float) -> int:
+    """The exit code for a run whose largest checkpoint deviation is ``worst``:
+    only z+ promises conservation, so only z+ is held to the tolerance."""
+    if job.rule_config.rule == "zplus" and worst > job.tolerance:
+        log.error("conservation violated: %.3e > %.3e", worst, job.tolerance)
+        return EXIT_CONSERVATION
+    return EXIT_OK
 
 
 def cmd_explain(job: JobConfig) -> int:
     graph = _load_graph(job)
-    _, c, amap, state = _explain_one(graph, job, _image_paths(job)[0])
+    _, amap, state = _explain_one(graph, job, _image_paths(job)[0])
     written = write_attribution(amap, job.out)
     log.info("wrote %s", ", ".join(str(p) for p in written))
 
     p_c = state.checkpoint_sums[0][1]  # the seed sum is exactly p(class)
     report = ev.conservation_report(state, p_c)
     _emit({
-        "class": c,
+        "class": state.class_index,
         "p_c": p_c,
         "checkpoint_sums": {label: total for label, total in state.checkpoint_sums},
         "max_relative_deviation": report.max_relative_deviation,
     })
-    if job.rule_config.rule == "zplus" and report.max_relative_deviation > job.tolerance:
-        log.error("conservation violated: %.3e > %.3e",
-                  report.max_relative_deviation, job.tolerance)
-        return EXIT_CONSERVATION
-    return EXIT_OK
+    return _verdict(job, report.max_relative_deviation)
 
 
 def _curves_for_image(graph: ModelGraph, job: JobConfig, path: Path
                       ) -> tuple[int, ev.EvalCurve, ev.EvalCurve]:
     if job.recompute:
-        sample, c, amap, _ = _explain_one(graph, job, path)
+        sample, amap, _ = _explain_one(graph, job, path)
     else:
         sample = load_ppm(path, graph.preprocess)
-        raw = read_map_csv(job.attribution)
-        if raw.shape != sample.normalized.shape[1:]:
-            raise CliError(f"attribution {raw.shape} does not match image "
-                           f"{sample.normalized.shape[1:]}")
-        amap = lrp.AttributionMap(raw=raw, quantized=None, quantize_mode="off",
-                                  bins=job.rule_config.bins)
-        c = _explicit_class(job, graph.num_classes)
-    c, (ins, dele) = ev.curves(graph, sample, amap, c, job.steps)
+        amap = lrp.AttributionMap(raw=read_map_csv(job.attribution), quantized=None,
+                                  quantize_mode="off", bins=job.rule_config.bins)
+    c, (ins, dele) = ev.curves(graph, sample, amap, job.class_index, job.steps)
     return c, ins, dele
 
 
@@ -271,7 +259,7 @@ def cmd_check_conservation(job: JobConfig) -> int:
     paths = _image_paths(job)
 
     def one(path: Path):
-        _, c, _, state = _explain_one(graph, job, path)
+        _, _, state = _explain_one(graph, job, path)
         p_c = state.checkpoint_sums[0][1]
         return path, ev.conservation_report(state, p_c)
 
@@ -292,19 +280,15 @@ def cmd_check_conservation(job: JobConfig) -> int:
     out_path.write_text("\n".join(lines) + "\n", newline="\n")
     log.info("wrote %s (%d rows)", out_path, rows)
 
-    conserving = job.rule_config.rule == "zplus"
     _emit({
         "images": len(paths),
         "rows": rows,
         "rule": job.rule_config.rule,
         "tolerance": job.tolerance,
         "max_relative_deviation": worst,
-        "enforced": conserving,
+        "enforced": job.rule_config.rule == "zplus",
     })
-    if conserving and worst > job.tolerance:
-        log.error("conservation violated: %.3e > %.3e", worst, job.tolerance)
-        return EXIT_CONSERVATION
-    return EXIT_OK
+    return _verdict(job, worst)
 
 
 # ---------------------------------------------------------------------------

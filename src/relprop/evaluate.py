@@ -134,12 +134,21 @@ def curves(graph: ModelGraph, sample: ImageSample, amap: AttributionMap,
     distinct input is forwarded once, in chunks of :func:`chunk_size`. With
     ``class_index`` None the class is the argmax of the untouched image's
     probabilities (lowest index on ties). Returns the class and the curves.
+
+    A map whose size differs from the image's, or a class outside the model's
+    range, raises ``ValueError`` before anything is forwarded.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if amap.values.shape != sample.normalized.shape[1:]:
+        raise ValueError(f"attribution {amap.values.shape} does not match image "
+                         f"{sample.normalized.shape[1:]}")
+    if class_index is not None and not 0 <= class_index < graph.num_classes:
+        raise ValueError(f"class {class_index} out of range for "
+                         f"{graph.num_classes} classes")
     ranking = rank_pixels(amap)
     total = ranking.shape[0]
     counts = _step_counts(total, steps)

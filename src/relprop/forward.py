@@ -3,9 +3,10 @@ trace the backward relevance pass needs (the inputs of conv, fc and gap
 layers, every layer's input shape, pooling winner indices, and the pre-merge
 skip/main outputs of each block).
 
-Every run is a stack of images along a leading batch axis; a single image
-runs as a stack of one. A trace is of one image, and holds its per-image
-C x H x W arrays.
+A run takes one 3 x H x W image or a stack of them along a leading batch
+axis, and every layer keeps the input's rank. A trace is of one image, and
+holds its C x H x W arrays. A layer or merge whose output overflows float32
+fails the run with its location.
 
 Everything here is a pure function of (graph, input); a loaded graph is
 immutable and may be shared across concurrent runs.
@@ -84,10 +85,10 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
         y = ops.softmax(x)
     else:
         raise GraphExecutionError(f"unknown node kind {kind!r}")
-    if sink is not None:  # a traced run is a stack of one
-        sink.append(NodeTrace(spec=node, x_shape=x.shape[1:],
-                              x=x[0] if kind in KEEPS_INPUT else None, weight=weight,
-                              pool_indices=None if pool_indices is None else pool_indices[0]))
+    if sink is not None:
+        sink.append(NodeTrace(spec=node, x_shape=x.shape,
+                              x=x if kind in KEEPS_INPUT else None, weight=weight,
+                              pool_indices=pool_indices))
     return y
 
 
@@ -99,6 +100,9 @@ def _run_sequence(graph: ModelGraph, nodes, x: np.ndarray, segment: str,
         except (ValueError, KeyError) as exc:
             raise GraphExecutionError(
                 f"{node_location(segment, i, block)} ({node.kind}): {exc}") from exc
+        except FloatingPointError as exc:
+            raise GraphExecutionError(f"{node_location(segment, i, block)} ({node.kind}): "
+                                      f"output is not finite ({exc})") from exc
     return x
 
 
@@ -115,15 +119,18 @@ def _run_block(graph: ModelGraph, b: int, x: np.ndarray,
         h_s = _run_sequence(graph, block.skip, x, "skip", b, skip_sink)
     if h_s.shape != h_m.shape:
         raise GraphExecutionError(f"{node_location('blocks', b)}: skip output "
-                                  f"{h_s.shape[1:]} does not match main output "
-                                  f"{h_m.shape[1:]}")
-    y = h_s + h_m
+                                  f"{h_s.shape[-3:]} does not match main output "
+                                  f"{h_m.shape[-3:]}")
+    try:
+        y = h_s + h_m
+    except FloatingPointError as exc:
+        raise GraphExecutionError(f"{node_location('blocks', b)}: merge output is not "
+                                  f"finite ({exc})") from exc
     if block.post_merge_relu:
         y = ops.relu_forward(y)
     trace = None
     if want_trace:
-        trace = BlockTrace(spec=block, main=main_sink, skip=skip_sink,
-                           h_s=h_s[0], h_m=h_m[0])
+        trace = BlockTrace(spec=block, main=main_sink, skip=skip_sink, h_s=h_s, h_m=h_m)
     return y, trace
 
 
@@ -134,8 +141,7 @@ def run_forward(graph: ModelGraph, x: np.ndarray,
     Returns the class probability vector (N x classes for an N x 3 x H x W
     stack), or the full :class:`ForwardTrace` of a single image when
     ``want_trace`` is set. Each row of a stack's result is bit for bit the
-    result of that image alone (see :mod:`relprop.ops`), and a single image
-    runs as a stack of one.
+    result of that image alone (see :mod:`relprop.ops`).
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim not in (3, 4) or x.shape[-3] != 3:
@@ -144,19 +150,16 @@ def run_forward(graph: ModelGraph, x: np.ndarray,
     if want_trace and x.ndim != 3:
         raise GraphExecutionError(f"a traced forward takes one 3 x H x W image, got {x.shape}")
     trace = ForwardTrace(x=x) if want_trace else None
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-
-    x = _run_sequence(graph, graph.stem, x, "stem", None,
-                      trace.stem if want_trace else None)
-    for b in range(len(graph.blocks)):
-        x, block_trace = _run_block(graph, b, x, want_trace)
-        if want_trace:
-            trace.blocks.append(block_trace)
-    probs = _run_sequence(graph, graph.head, x, "head", None,
-                          trace.head if want_trace else None)
+    with np.errstate(over="raise"):
+        x = _run_sequence(graph, graph.stem, x, "stem", None,
+                          trace.stem if want_trace else None)
+        for b in range(len(graph.blocks)):
+            x, block_trace = _run_block(graph, b, x, want_trace)
+            if want_trace:
+                trace.blocks.append(block_trace)
+        probs = _run_sequence(graph, graph.head, x, "head", None,
+                              trace.head if want_trace else None)
     if want_trace:
-        trace.probs = probs[0]
+        trace.probs = probs
         return trace
-    return probs[0] if single else probs
+    return probs

@@ -54,10 +54,10 @@ RATIO_DENOM_GUARD = 1e-12
 class RuleConfig:
     """Propagation rule selection for one explanation run.
 
-    ``mixture`` applies the epsilon rule to the head and to blocks with index
-    >= ``mixture_boundary`` (0-based), and the z+ rule to earlier blocks and
-    the stem. ``include_identity`` controls whether identity skips receive a
-    relevance share at all; projection skips always do.
+    ``mixture`` applies the epsilon rule at every depth >= ``mixture_boundary``
+    and the z+ rule at every smaller one (see :meth:`rule_at`).
+    ``include_identity`` controls whether identity skips receive a relevance
+    share at all; projection skips always do.
     """
 
     rule: str = "zplus"
@@ -82,16 +82,13 @@ class RuleConfig:
         if self.mixture_boundary < 0:
             raise ValueError("mixture_boundary must be >= 0")
 
-    def rule_for_stem(self) -> str:
-        return "zplus" if self.rule == "mixture" else self.rule
-
-    def rule_for_block(self, index: int) -> str:
-        if self.rule == "mixture":
-            return "epsilon" if index >= self.mixture_boundary else "zplus"
-        return self.rule
-
-    def rule_for_head(self) -> str:
-        return "epsilon" if self.rule == "mixture" else self.rule
+    def rule_at(self, depth: int) -> str:
+        """The rule at a depth: block ``b`` is at depth ``b``, the stem at -1 and
+        the head at ``len(blocks)``, so a boundary in 0..len(blocks) keeps the
+        stem z+ and the head epsilon under ``mixture``."""
+        if self.rule != "mixture":
+            return self.rule
+        return "epsilon" if depth >= self.mixture_boundary else "zplus"
 
 
 @dataclass
@@ -367,7 +364,7 @@ def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
         raise LookupError("block trace is missing cached activations")
     if len(trace.main) != len(trace.spec.main):
         raise LookupError("block trace does not cover the whole main path")
-    rule = config.rule_for_block(0) if rule is None else rule
+    rule = config.rule_at(0) if rule is None else rule
 
     r = passthrough(r)  # post-merge relu
     r_s, r_m = split_relevance(r, trace.h_s, trace.h_m, config.splitting,
@@ -461,12 +458,12 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     # The seed is the softmax output, the head's last node (validate_graph
     # allows a softmax nowhere else).
     work = Workspace()
-    r = path_backward(trace.head[:-1], r, config.rule_for_head(), config.epsilon, work)
+    r = path_backward(trace.head[:-1], r, config.rule_at(len(trace.blocks)),
+                      config.epsilon, work)
     for b in range(len(trace.blocks) - 1, -1, -1):
-        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_for_block(b),
-                                 work=work)
+        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_at(b), work=work)
         state.record(block_input_label(b + 1), r)
-    r = path_backward(trace.stem, r, config.rule_for_stem(), config.epsilon, work)
+    r = path_backward(trace.stem, r, config.rule_at(-1), config.epsilon, work)
     state.record(CHECKPOINT_INPUT, r)
 
     raw = channel_sum(r)

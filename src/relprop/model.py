@@ -143,8 +143,10 @@ class BottleneckSpec:
         where = node_location("blocks", index)
         if not isinstance(obj, dict):
             raise GraphValidationError(f"{where}: block is not an object")
+        if "main" not in obj:
+            raise GraphValidationError(f"{where}: block missing field 'main'")
         main = tuple(NodeSpec.from_json(n, node_location("main", i, index))
-                     for i, n in enumerate(obj.get("main", [])))
+                     for i, n in enumerate(obj["main"]))
         skip_obj = obj.get("skip")
         if not isinstance(skip_obj, dict) or skip_obj.get("kind") not in ("identity", "projection"):
             raise GraphValidationError(f"{where}: skip must be identity or projection")

@@ -11,7 +11,8 @@ from relprop import cli, lrp, ops
 from relprop import evaluate as ev
 from relprop.forward import GraphExecutionError, run_forward
 from relprop.image import ImageSample, format_float, write_attribution, write_ppm
-from relprop.model import NodeSpec, generate_toy_resnet, load_model, save_model
+from relprop.model import (BottleneckSpec, NodeSpec, generate_toy_resnet, load_model,
+                           save_model)
 
 from conftest import make_sample
 
@@ -68,6 +69,20 @@ class TestStackEqualsSingle:
             singles = [run_forward(graph, image) for image in x]
         for i in range(len(x)):
             assert same_bits(probs[i], singles[i])
+
+    def test_kernels_see_the_input_rank(self, graph_hw, monkeypatch):
+        # A single image reaches each kernel as C x H x W, a stack as N x C x H x W.
+        graph, hw = graph_hw
+        ranks = []
+        original = ops.bn_forward
+        monkeypatch.setattr(ops, "bn_forward",
+                            lambda x, *args: ranks.append(x.ndim) or original(x, *args))
+        run_forward(graph, stack(hw, 1, seed=4)[0], want_trace=True)
+        run_forward(graph, stack(hw, 1, seed=4)[0])
+        assert set(ranks) == {3}
+        ranks.clear()
+        run_forward(graph, stack(hw, 2, seed=4))
+        assert set(ranks) == {4}
 
     def test_trace_probs_equal_stack_row(self, graph_hw):
         graph, hw = graph_hw
@@ -179,6 +194,18 @@ class TestShapeErrors:
         graph = dataclasses.replace(graph, blocks=(block,) + graph.blocks[1:], tensors=tensors)
         with pytest.raises(GraphExecutionError, match=r"^blocks\[0\]\.skip\.bn \(bn\): "):
             run_forward(graph, np.zeros(shape, np.float32))
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 3, 8, 8)])
+    def test_merge_overflow_names_its_block(self, shape):
+        # Each path's output is finite (1.8e38) but their sum overflows float32.
+        graph = generate_toy_resnet(7)
+        tensors = dict(graph.tensors, big=np.full((4, 3, 1, 1), 3e37, np.float32))
+        graph = dataclasses.replace(
+            graph, stem=(NodeSpec("conv", weight="big"),),
+            blocks=(BottleneckSpec(main=(NodeSpec("relu"),)),), tensors=tensors)
+        with pytest.raises(GraphExecutionError,
+                           match=r"^blocks\[0\]: merge output is not finite"):
+            run_forward(graph, np.full(shape, 2.0, np.float32))
 
     @pytest.mark.parametrize("shape", [(8, 8), (2, 4, 8, 8), (1, 1, 3, 8, 8)])
     def test_input_rank_and_channels(self, shape):

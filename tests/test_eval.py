@@ -136,6 +136,34 @@ class TestCurve:
             ev.curve(toy_graph, sample, amap_of(np.zeros((8, 8))), 0,
                      "insertion", steps=1)
 
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        """The number of run_forward calls the curve module makes."""
+        calls = []
+        original = ev.run_forward
+        monkeypatch.setattr(ev, "run_forward",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("class_index", [-1, 5])
+    def test_class_out_of_range_rejected_before_any_forward(self, toy_graph, forwards,
+                                                            class_index):
+        sample = make_sample(toy_graph, seed=14)
+        amap = amap_of(np.random.default_rng(15).normal(size=(8, 8)))
+        with pytest.raises(ValueError, match=f"class {class_index} out of range for 5"):
+            ev.curves(toy_graph, sample, amap, class_index, 4)
+        with pytest.raises(ValueError, match=f"class {class_index} out of range for 5"):
+            ev.curve(toy_graph, sample, amap, class_index, "deletion", 4)
+        assert forwards == []
+
+    def test_map_must_match_the_image(self, toy_graph, forwards):
+        sample = make_sample(toy_graph, seed=16)
+        amap = amap_of(np.random.default_rng(17).normal(size=(4, 4)))
+        with pytest.raises(ValueError, match=r"attribution \(4, 4\) does not match "
+                                             r"image \(8, 8\)"):
+            ev.curves(toy_graph, sample, amap, None, 4)
+        assert forwards == []
+
 
 class TestAuc:
     def test_constant_curve_auc_equals_level(self):

@@ -86,6 +86,24 @@ def non_finite_weight(tmp_path):
     return argv, 2, "head.fc.w"
 
 
+def evaluate_attribution(tmp_path, hw, *extra):
+    csv = tmp_path / "att.csv"
+    csv.write_text("\n".join(",".join(["0.5"] * hw) for _ in range(hw)) + "\n")
+    return ["evaluate", "--model", "toy", "--seed", "7", "--image", image(tmp_path),
+            "--attribution", str(csv), *extra, "--out", str(tmp_path / "ev")]
+
+
+def overflowing_stem(tmp_path):
+    # Finite weights whose stem conv output overflows float32 on a black image.
+    manifest = save_model(generate_toy_resnet(7), tmp_path / "model")
+    path = tmp_path / "model" / "tensors" / "stem.conv.w.bin"
+    path.write_bytes(np.full(len(path.read_bytes()) // 4, 3e38, dtype="<f4").tobytes())
+    black = tmp_path / "black.ppm"
+    write_ppm(black, np.zeros((3, 8, 8), np.float32))
+    argv = ["infer", "--model", str(manifest), "--image", str(black)]
+    return argv, 2, "stem[0] (conv): output is not finite"
+
+
 def empty_image_manifest(tmp_path):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("\n")
@@ -105,6 +123,14 @@ def zplus_zero_tolerance(tmp_path):
 def insert_node(segment, index, node):
     def edit(doc):
         doc[segment].insert(index, node)
+    return edit
+
+
+def drop_key(path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
     return edit
 
 
@@ -130,6 +156,8 @@ CASES = {
     "manifest_bool_as_string": infer_with_manifest(
         set_key(["blocks", 1, "post_merge_relu"], "false"),
         "blocks[1]: post_merge_relu must be true or false"),
+    "manifest_block_missing_main": infer_with_manifest(
+        drop_key(["blocks", 1, "main"]), "blocks[1]: block missing field 'main'"),
     "manifest_head_maxpool_hyperparameters": infer_with_manifest(
         insert_node("head", 0, {"kind": "maxpool", "k": 0, "stride": 0, "padding": -1}),
         "head[0]: invalid maxpool hyperparameters"),
@@ -141,6 +169,11 @@ CASES = {
     "bad_ppm": bad_ppm,
     "non_finite_csv": non_finite_csv,
     "non_finite_weight": non_finite_weight,
+    "forward_overflow": overflowing_stem,
+    "attribution_size_mismatch": lambda tmp_path: (
+        evaluate_attribution(tmp_path, 4), 2, "attribution (4, 4) does not match image (8, 8)"),
+    "evaluate_class_negative": lambda tmp_path: (
+        evaluate_attribution(tmp_path, 8, "--class", "-1"), 2, "class -1 out of range"),
     "class_out_of_range": fixed(explain("--class", "9"), 2, "out of range"),
     "class_not_integer": fixed(explain("--class", "x"), 2, "--class"),
     "steps_below_two": lambda tmp_path: (

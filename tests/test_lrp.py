@@ -442,6 +442,20 @@ class TestExplain:
         drift_inside = abs(sums["network_input"] - sums["block_2_input"])
         assert drift_inside <= 1e-9 * sums["seed"]
 
+    @pytest.mark.parametrize("rule", lrp.RULES)
+    @pytest.mark.parametrize("blocks", [1, 2, 8])
+    def test_rule_at_matches_stem_block_head_rules(self, rule, blocks):
+        # The reference, part by part: under mixture the stem is always z+,
+        # block b is epsilon from the boundary on, and the head is always epsilon.
+        for boundary in range(blocks + 1):
+            cfg = lrp.RuleConfig(rule=rule, mixture_boundary=boundary)
+            mixture = rule == "mixture"
+            assert cfg.rule_at(-1) == ("zplus" if mixture else rule)
+            for b in range(blocks):
+                want = ("epsilon" if b >= boundary else "zplus") if mixture else rule
+                assert cfg.rule_at(b) == want
+            assert cfg.rule_at(blocks) == ("epsilon" if mixture else rule)
+
     def test_mixture_boundary_validated(self, toy_graph):
         sample = make_sample(toy_graph, seed=35)
         with pytest.raises(ValueError, match="mixture_boundary"):
