@@ -81,10 +81,8 @@ def _run_node(graph: ModelGraph, node: NodeSpec, x: np.ndarray,
         y, pool_indices = ops.maxpool_forward(x, node.k, node.stride, node.padding)
     elif kind == "gap":
         y = ops.gap_forward(x)
-    elif kind == "softmax":
+    else:  # softmax
         y = ops.softmax(x)
-    else:
-        raise GraphExecutionError(f"unknown node kind {kind!r}")
     if sink is not None:
         sink.append(NodeTrace(spec=node, x_shape=x.shape,
                               x=x if kind in KEEPS_INPUT else None, weight=weight,
@@ -107,14 +105,12 @@ def _run_sequence(graph: ModelGraph, nodes, x: np.ndarray, segment: str,
 
 
 def _run_block(graph: ModelGraph, b: int, x: np.ndarray,
-               want_trace: bool) -> tuple[np.ndarray, BlockTrace | None]:
+               sink: list[BlockTrace] | None) -> np.ndarray:
     block = graph.blocks[b]
-    main_sink: list[NodeTrace] | None = [] if want_trace else None
-    skip_sink: list[NodeTrace] | None = [] if want_trace else None
+    main_sink, skip_sink = (None, None) if sink is None else ([], [])
     h_m = _run_sequence(graph, block.main, x, "main", b, main_sink)
     if block.skip is None:
-        h_s = x
-        skip_sink = None
+        h_s, skip_sink = x, None
     else:
         h_s = _run_sequence(graph, block.skip, x, "skip", b, skip_sink)
     if h_s.shape != h_m.shape:
@@ -128,10 +124,9 @@ def _run_block(graph: ModelGraph, b: int, x: np.ndarray,
                                   f"finite ({exc})") from exc
     if block.post_merge_relu:
         y = ops.relu_forward(y)
-    trace = None
-    if want_trace:
-        trace = BlockTrace(spec=block, main=main_sink, skip=skip_sink, h_s=h_s, h_m=h_m)
-    return y, trace
+    if sink is not None:
+        sink.append(BlockTrace(spec=block, main=main_sink, skip=skip_sink, h_s=h_s, h_m=h_m))
+    return y
 
 
 def run_forward(graph: ModelGraph, x: np.ndarray,
@@ -149,17 +144,11 @@ def run_forward(graph: ModelGraph, x: np.ndarray,
             f"network input must be 3 x H x W or N x 3 x H x W, got {x.shape}")
     if want_trace and x.ndim != 3:
         raise GraphExecutionError(f"a traced forward takes one 3 x H x W image, got {x.shape}")
-    trace = ForwardTrace(x=x) if want_trace else None
+    trace = ForwardTrace(x=x)
+    stem, blocks, head = (trace.stem, trace.blocks, trace.head) if want_trace else (None,) * 3
     with np.errstate(over="raise"):
-        x = _run_sequence(graph, graph.stem, x, "stem", None,
-                          trace.stem if want_trace else None)
+        x = _run_sequence(graph, graph.stem, x, "stem", None, stem)
         for b in range(len(graph.blocks)):
-            x, block_trace = _run_block(graph, b, x, want_trace)
-            if want_trace:
-                trace.blocks.append(block_trace)
-        probs = _run_sequence(graph, graph.head, x, "head", None,
-                              trace.head if want_trace else None)
-    if want_trace:
-        trace.probs = probs
-        return trace
-    return probs
+            x = _run_block(graph, b, x, blocks)
+        trace.probs = _run_sequence(graph, graph.head, x, "head", None, head)
+    return trace if want_trace else trace.probs

@@ -39,7 +39,7 @@ def normalize(raw: np.ndarray, preprocess: Preprocess) -> np.ndarray:
     return (raw / np.float32(255.0) - mean) / std
 
 
-def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _read_header_token(data: bytes, pos: int, path: Path) -> tuple[bytes, int]:
     # Skip whitespace and '#' comment lines between header fields.
     n = len(data)
     while pos < n:
@@ -55,7 +55,7 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise ImageFormatError("truncated PPM header")
+        raise ImageFormatError(f"{path}: truncated PPM header")
     return data[start:pos], pos
 
 
@@ -68,7 +68,7 @@ def load_ppm(path: str | Path, preprocess: Preprocess) -> ImageSample:
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _read_header_token(data, pos)
+        token, pos = _read_header_token(data, pos, path)
         try:
             fields.append(int(token))
         except ValueError as exc:
@@ -131,10 +131,13 @@ def write_map_csv(path: str | Path, values: np.ndarray) -> None:
 
 def read_map_csv(path: str | Path) -> np.ndarray:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rows.append([float(v) for v in line.split(",")])
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: malformed attribution CSV")
     values = np.asarray(rows, dtype=np.float64)

@@ -34,7 +34,7 @@ Nothing is shared between calls, so concurrent explanations stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,14 +55,15 @@ class RuleConfig:
     """Propagation rule selection for one explanation run.
 
     ``mixture`` applies the epsilon rule at every depth >= ``mixture_boundary``
-    and the z+ rule at every smaller one (see :meth:`rule_at`).
-    ``include_identity`` controls whether identity skips receive a relevance
-    share at all; projection skips always do.
+    and the z+ rule at every smaller one (see :meth:`rule_at`). An unset
+    boundary means 8, or the model's block count when it has fewer: ``explain``
+    sets it. ``include_identity`` controls whether identity skips receive a
+    relevance share at all; projection skips always do.
     """
 
     rule: str = "zplus"
     epsilon: float = 1e-6
-    mixture_boundary: int = 8
+    mixture_boundary: int | None = None
     splitting: str = "ratio"
     include_identity: bool = True
     quantize: str = "paper"
@@ -79,7 +80,7 @@ class RuleConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        if self.mixture_boundary < 0:
+        if self.mixture_boundary is not None and self.mixture_boundary < 0:
             raise ValueError("mixture_boundary must be >= 0")
 
     def rule_at(self, depth: int) -> str:
@@ -88,6 +89,8 @@ class RuleConfig:
         stem z+ and the head epsilon under ``mixture``."""
         if self.rule != "mixture":
             return self.rule
+        if self.mixture_boundary is None:
+            raise ValueError("mixture_boundary is unset; explain sets it from the model")
         return "epsilon" if depth >= self.mixture_boundary else "zplus"
 
 
@@ -196,8 +199,8 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
     it is. Padding cells carry zero activation so they drop out of both the
     share numerators and the denominators; nothing is scattered onto them.
 
-    With ``work``, the unrolled columns and the back-projected shares of a
-    k x k conv live in its buffers instead of fresh arrays.
+    With ``work``, the unrolled columns and the back-projected shares live in
+    its buffers instead of fresh arrays.
     """
     x = _as64(x)
     weight = _as64(weight)
@@ -214,26 +217,16 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         raise ops.ShapeMismatch(
             f"lrp_conv r_out shape {r_out.shape} != expected {(c_out, out_h, out_w)}")
 
-    pointwise = ops.is_pointwise(k, stride, padding)
-    cols = shares = None  # pointwise shares become r_in, so they stay fresh
-    if pointwise:
-        cols = x.reshape(c_in, -1)
-    else:
-        if work is not None:
-            cols, shares = work.take((c_in * k * k, out_h * out_w))
-        cols = ops.im2col(ops.pad2d(x, padding, 0.0), k, stride, out_h, out_w,
-                          out=cols)  # (C_in*k*k, L)
+    cols, shares = (None, None) if work is None else work.take((c_in * k * k, out_h * out_w))
+    cols = ops.im2col(ops.pad2d(x, padding, 0.0), k, stride, out_h, out_w,
+                      out=cols)  # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
     wmat = (np.maximum(weight, 0.0) if rule == "zplus" else weight).reshape(c_out, -1)
     ratio, dead = _ratio(r_flat, wmat @ cols, rule, epsilon)      # (C_out, L)
     shares = np.matmul(wmat.T, ratio, out=shares)
     np.multiply(cols, shares, out=shares)
-    if pointwise:
-        r_in = shares.reshape(x.shape)
-        r_in += 0.0  # col2im_add accumulates onto +0.0, which turns -0.0 into +0.0
-    else:
-        r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
+    r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
     dead_total = 0.0 if dead is None else float(r_flat[dead].sum())
     if dead_total != 0.0:
         r_in += dead_total / x.size
@@ -337,10 +330,8 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
             raise ops.ShapeMismatch(
                 f"{kind} relevance shape {r.shape} != activation shape {trace.x_shape}")
         return r
-    if kind == "softmax":
-        raise ValueError("relevance never propagates through softmax; "
-                         "it only generates the seed")
-    raise ValueError(f"unknown node kind {kind!r}")
+    raise ValueError("relevance never propagates through softmax; "
+                     "it only generates the seed")
 
 
 def path_backward(traces: list[NodeTrace], r: np.ndarray, rule: str, epsilon: float,
@@ -444,9 +435,11 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     if class_index is not None and not 0 <= class_index < graph.num_classes:
         raise ValueError(f"class {class_index} out of range for "
                          f"{graph.num_classes} classes")
-    if config.rule == "mixture" and config.mixture_boundary > len(graph.blocks):
-        raise ValueError(f"mixture_boundary {config.mixture_boundary} exceeds "
-                         f"{len(graph.blocks)} blocks")
+    blocks = len(graph.blocks)
+    if config.mixture_boundary is None:
+        config = replace(config, mixture_boundary=min(8, blocks))
+    elif config.rule == "mixture" and config.mixture_boundary > blocks:
+        raise ValueError(f"mixture_boundary {config.mixture_boundary} exceeds {blocks} blocks")
 
     trace: ForwardTrace = run_forward(graph, sample.normalized, want_trace=True)
     if class_index is None:

@@ -62,7 +62,8 @@ class GraphValidationError(ModelError):
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One layer in the graph; only the fields for its kind are meaningful."""
+    """One layer in the graph; only the fields for its kind are meaningful.
+    Every node is built here, so a kind outside ``NODE_FIELDS`` fails here."""
 
     kind: str
     weight: str | None = None
@@ -76,9 +77,11 @@ class NodeSpec:
     var: str | None = None
     eps: float = 1e-5
 
-    def to_json(self) -> dict:
+    def __post_init__(self):
         if self.kind not in NODE_FIELDS:
             raise GraphValidationError(f"unknown node kind {self.kind!r}")
+
+    def to_json(self) -> dict:
         return {"kind": self.kind, **{name: getattr(self, name)
                                       for name in NODE_FIELDS[self.kind]}}
 
@@ -99,20 +102,22 @@ class NodeSpec:
         return NodeSpec(kind, **values)
 
 
+def _json_value(value, want: str, what: str):
+    """value, if its JSON type is the one ``want`` names (a bool is neither a
+    number nor an integer); a number comes back as a float."""
+    if type(value) not in {"a tensor name": (str,), "a number": (int, float),
+                           "an integer": (int,)}[want]:
+        raise TypeError(f"{what} must be {want}, got {value!r}")
+    return float(value) if want == "a number" else value
+
+
 def _field_value(name: str, value, where: str):
     """A node field's value, checked against the JSON type its name calls for."""
-    if name in TENSOR_FIELDS:
-        ok = isinstance(value, str) or (name == "bias" and value is None)
-        want = "a tensor name"
-    elif name == "eps":
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        want = "a number"
-    else:
-        ok = type(value) is int
-        want = "an integer"
-    if not ok:
-        raise TypeError(f"{where}: {name} must be {want}, got {value!r}")
-    return float(value) if name == "eps" else value
+    if name == "bias" and value is None:
+        return None
+    want = ("a tensor name" if name in TENSOR_FIELDS
+            else "a number" if name == "eps" else "an integer")
+    return _json_value(value, want, f"{where}: {name}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,8 @@ class BottleneckSpec:
             raise GraphValidationError(f"{where}: block missing field 'main'")
         main = tuple(NodeSpec.from_json(n, node_location("main", i, index))
                      for i, n in enumerate(obj["main"]))
+        if not main:
+            raise GraphValidationError(f"{where}: main path is empty")
         skip_obj = obj.get("skip")
         if not isinstance(skip_obj, dict) or skip_obj.get("kind") not in ("identity", "projection"):
             raise GraphValidationError(f"{where}: skip must be identity or projection")
@@ -201,8 +208,6 @@ def _check_node(graph: ModelGraph, node: NodeSpec, channels: int, where: str) ->
     """Check one node against the channel count it receives; returns the
     channel count it outputs."""
     kind = node.kind
-    if kind not in NODE_FIELDS:
-        raise GraphValidationError(f"{where}: unknown node kind {kind!r}")
     for name in TENSOR_FIELDS:
         ref = getattr(node, name)
         if ref is not None and ref not in graph.tensors:
@@ -338,9 +343,10 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
 
     try:
         pre = doc["preprocess"]
-        preprocess = Preprocess(mean=tuple(float(v) for v in pre["mean"]),
-                                std=tuple(float(v) for v in pre["std"]))
-        num_classes = int(doc["num_classes"])
+        mean, std = (tuple(_json_value(v, "a number", f"preprocess.{key}[{i}]")
+                           for i, v in enumerate(pre[key])) for key in ("mean", "std"))
+        preprocess = Preprocess(mean=mean, std=std)
+        num_classes = _json_value(doc["num_classes"], "an integer", "num_classes")
         stem = tuple(NodeSpec.from_json(n, node_location("stem", i))
                      for i, n in enumerate(doc["stem"]))
         blocks = tuple(BottleneckSpec.from_json(b, i) for i, b in enumerate(doc["blocks"]))
@@ -362,10 +368,12 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
     base = manifest_path.parent
     for name, entry in tensor_table.items():
         try:
-            shape = tuple(int(v) for v in entry["shape"])
+            shape = tuple(_json_value(v, "an integer", f"shape[{i}]")
+                          for i, v in enumerate(entry["shape"]))
             rel = entry["file"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise BadMagicError(f"tensor table entry {name} invalid: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise BadMagicError(f"manifest structure invalid: tensor table entry "
+                                f"{name}: {exc}") from exc
         if not isinstance(rel, str):
             raise BadMagicError(f"tensor table entry {name}: file must be a path string")
         if any(v < 1 for v in shape) or not 1 <= len(shape) <= 4:

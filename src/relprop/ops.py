@@ -71,11 +71,6 @@ def conv_output_extent(extent: int, k: int, stride: int, padding: int, axis: str
     return span // stride + 1
 
 
-def is_pointwise(k: int, stride: int, padding: int) -> bool:
-    """A 1x1, stride-1, unpadded conv: a plain GEMM on the C x (H*W) map."""
-    return k == 1 and stride == 1 and padding == 0
-
-
 def pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
     """A (N x) C x H x W map framed by ``padding`` cells of ``fill``; x itself at 0."""
     if padding == 0:
@@ -92,12 +87,15 @@ def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
 
     Returns a (N x) (C*k*k, out_h*out_w) array whose row order matches a
     (C_out, C*k*k) reshape of conv weights. With ``out`` (a C-contiguous array
-    of that shape) the columns are copied into it and it is returned.
+    of that shape) the columns are copied into it and it is returned. A 1x1
+    stride-1 unroll is ``xpad`` itself, reshaped: ``out`` is then left unused.
     """
     lead, c = xpad.shape[:-3], xpad.shape[-3]
+    shape = lead + (c * k * k, out_h * out_w)
+    if k == 1 and stride == 1:
+        return xpad.reshape(shape)
     win = sliding_window_view(xpad, (k, k), axis=(-2, -1))
     win = np.moveaxis(win[..., ::stride, ::stride, :, :], (-2, -1), (-4, -3))
-    shape = lead + (c * k * k, out_h * out_w)
     if out is None:
         return win.reshape(shape)
     if out.shape != shape or not out.flags.c_contiguous:
@@ -112,10 +110,13 @@ def col2im_add(cols: np.ndarray, shape: tuple[int, int, int], k: int, stride: in
     """Scatter-add column contributions back onto the unpadded input grid.
 
     Inverse layout of :func:`im2col`; contributions landing on padding cells
-    are cropped away.
+    are cropped away. The result is a fresh array, and every zero in it is
+    +0.0: the sums start from +0.0.
     """
     c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
+    if k == 1 and stride == 1:
+        return cols.reshape(c, hp, wp)[:, padding : padding + h, padding : padding + w] + 0.0
     out_h = (hp - k) // stride + 1
     out_w = (wp - k) // stride + 1
     acc = np.zeros((c, hp, wp), dtype=cols.dtype)
@@ -145,10 +146,7 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     out_h = conv_output_extent(h, kh, stride, padding, "height")
     out_w = conv_output_extent(w, kw, stride, padding, "width")
 
-    if is_pointwise(kh, stride, padding):
-        cols = xb.reshape(n, c_in, -1).astype(np.float64)
-    else:
-        cols = im2col(pad2d(xb, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
+    cols = im2col(pad2d(xb, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
     # One GEMM per image, broadcast over the batch axis by matmul.
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:

@@ -5,15 +5,14 @@ full share matrix of each linear projection, normalize its rows, and multiply.
 No code is shared with the propagation paths under test.
 
 The kernel references at the end are the engine's earlier implementations of
-max pooling (argmax over copied windows) and of the 1x1 conv (through
-im2col/col2im_add, which the 1x1 paths under test skip). The faster kernels
-must match them bit for bit.
+max pooling (argmax over copied windows) and of the 1x1 conv (through a
+general window unroll and scatter-add, which the engine's 1x1 paths skip).
+The faster kernels must match them bit for bit.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from relprop import ops
 
 
 def share_matrix_lrp(h, weight, r_out, rule="zplus", epsilon=1e-6):
@@ -164,12 +163,33 @@ def maxpool_argmax_reference(x, k, stride, padding=0):
     return np.ascontiguousarray(out), np.ascontiguousarray(indices)
 
 
+def _unroll(x, k, stride):
+    """k x k windows of an unpadded C x H x W map as (C*k*k, out_h*out_w) columns."""
+    c = x.shape[0]
+    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = win.shape[1:3]
+    return np.moveaxis(win, (3, 4), (1, 2)).reshape(c * k * k, out_h * out_w)
+
+
+def _scatter_add(cols, shape, k, stride):
+    """Inverse layout of :func:`_unroll`: sum each column entry onto its cell."""
+    c, h, w = shape
+    out_h, out_w = (h - k) // stride + 1, (w - k) // stride + 1
+    acc = np.zeros(shape, dtype=cols.dtype)
+    patches = cols.reshape(c, k, k, out_h, out_w)
+    for di in range(k):
+        for dj in range(k):
+            acc[:, di:di + stride * out_h:stride, dj:dj + stride * out_w:stride] += (
+                patches[:, di, dj])
+    return acc
+
+
 def conv1x1_im2col_reference(x, weight, bias=None):
-    """Forward 1x1, stride-1, unpadded conv through im2col."""
+    """Forward 1x1, stride-1, unpadded conv through the general unroll."""
     x = np.ascontiguousarray(x, dtype=np.float32)
     c_out = weight.shape[0]
     _, h, w = x.shape
-    cols = ops.im2col(x.astype(np.float64), 1, 1, h, w)
+    cols = _unroll(x.astype(np.float64), 1, 1)
     y = np.asarray(weight, dtype=np.float64).reshape(c_out, -1) @ cols
     if bias is not None:
         y += np.asarray(bias, dtype=np.float64)[:, None]
@@ -177,19 +197,19 @@ def conv1x1_im2col_reference(x, weight, bias=None):
 
 
 def lrp_conv1x1_im2col_reference(x, weight, r_out, rule="zplus", epsilon=1e-6):
-    """Backward relevance through a 1x1, stride-1, unpadded conv through
-    im2col and col2im_add."""
+    """Backward relevance through a 1x1, stride-1, unpadded conv through the
+    general unroll and scatter-add."""
     x = np.asarray(x, dtype=np.float64)
     weight = np.asarray(weight, dtype=np.float64)
     c_out = weight.shape[0]
-    cols = ops.im2col(x, 1, 1, x.shape[1], x.shape[2])
+    cols = _unroll(x, 1, 1)
     r_flat = np.asarray(r_out, dtype=np.float64).reshape(c_out, -1)
     if rule == "zplus":
         wmat = np.maximum(weight, 0.0).reshape(c_out, -1)
         denom = wmat @ cols
         live = denom != 0.0
         ratio = np.where(live, r_flat / np.where(live, denom, 1.0), 0.0)
-        r_in = ops.col2im_add(cols * (wmat.T @ ratio), x.shape, 1, 1, 0)
+        r_in = _scatter_add(cols * (wmat.T @ ratio), x.shape, 1, 1)
         dead_total = float(r_flat[~live].sum())
         if dead_total != 0.0:
             r_in += dead_total / x.size
@@ -197,4 +217,4 @@ def lrp_conv1x1_im2col_reference(x, weight, r_out, rule="zplus", epsilon=1e-6):
     wmat = weight.reshape(c_out, -1)
     denom = wmat @ cols
     denom = denom + epsilon * np.where(denom < 0, -1.0, 1.0)
-    return ops.col2im_add(cols * (wmat.T @ (r_flat / denom)), x.shape, 1, 1, 0)
+    return _scatter_add(cols * (wmat.T @ (r_flat / denom)), x.shape, 1, 1)

@@ -176,6 +176,15 @@ class TestWorkspace:
         with pytest.raises(ops.ShapeMismatch):
             ops.im2col(x, 3, 2, 3, 3, out=np.empty((9, 18)).T)
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_pointwise_im2col_is_a_view_of_its_input(self, padding):
+        xpad = ops.pad2d(rnd(12).normal(size=(3, 4, 5)), padding, 0.0)
+        hp, wp = xpad.shape[1:]
+        out = np.full((3, hp * wp), np.nan)
+        cols = ops.im2col(xpad, 1, 1, hp, wp, out=out)
+        assert np.shares_memory(cols, xpad) and not np.shares_memory(cols, out)
+        assert_same_bits(cols, xpad.reshape(3, -1))
+
     def test_concurrent_explains_match_sequential(self):
         graph = generate_toy_resnet(12, channels=8, blocks=2, num_classes=5, input_hw=32)
         samples = [make_sample(graph, seed=s, hw=32) for s in range(8)]

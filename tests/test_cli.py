@@ -126,6 +126,19 @@ class TestExplain:
                               "--out", str(tmp_path / "att")], capsys)
         assert code == 2
 
+    def test_mixture_without_boundary_uses_the_block_count(self, tmp_path, capsys):
+        # An unset boundary is 8, or the block count (the toy's 2) when fewer.
+        img = one_image(tmp_path)
+        runs = []
+        for boundary in ([], ["--mixture-boundary", "2"]):
+            code, out, _ = run_cli(["explain", "--model", "toy", "--seed", "7",
+                                    "--image", img, "--rule", "mixture", *boundary,
+                                    "--out", str(tmp_path / "att")], capsys)
+            assert code == 0
+            runs.append((out, (tmp_path / "att.csv").read_bytes(),
+                         (tmp_path / "att.pgm").read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestEvaluate:
     def test_single_image_scores(self, tmp_path, capsys):
@@ -392,3 +405,8 @@ class TestDefaults:
         out = argv[-1] if "--out" in argv else None
         assert job == cli.JobConfig(model="toy", out=out)
         assert job.rule_config == lrp.RuleConfig()
+
+    def test_include_identity_false_parses(self):
+        argv = ["explain", "--model", "toy", "--include-identity", "false", "--out", "att"]
+        job = cli.JobConfig.from_args(cli.build_parser().parse_args(argv))
+        assert job.rule_config == lrp.RuleConfig(include_identity=False)

@@ -138,6 +138,36 @@ def fixed(argv_of, code, fragment):
     return lambda tmp_path: (argv_of(tmp_path), code, fragment)
 
 
+def infer_on_ppm(data: bytes, fragment):
+    def build(tmp_path):
+        path = tmp_path / "in.ppm"
+        path.write_bytes(data)
+        return ["infer", "--model", "toy", "--image", str(path)], 2, fragment
+    return build
+
+
+def evaluate_on_csv(text: str, fragment):
+    def build(tmp_path):
+        path = tmp_path / "att.csv"
+        path.write_text(text)
+        argv = ["evaluate", "--model", "toy", "--seed", "7", "--image", image(tmp_path),
+                "--attribution", str(path), "--out", str(tmp_path / "ev")]
+        return argv, 2, fragment
+    return build
+
+
+def toy(spec, *extra):
+    return lambda tmp_path: ["infer", "--model", spec, "--image", image(tmp_path), *extra]
+
+
+def evaluate(tmp_path, *extra):
+    return ["evaluate", "--model", "toy", *extra, "--out", str(tmp_path / "ev")]
+
+
+def images_manifest(tmp_path) -> str:
+    return write_random_ppms(tmp_path, count=2, seed=3)
+
+
 CASES = {
     "manifest_tensors_not_object": infer_with_manifest(
         set_key(["tensors"], []), "manifest tensors must be an object"),
@@ -165,6 +195,94 @@ CASES = {
         set_key(["stem", 3, "padding"], 2), "stem[3]: maxpool window lies entirely in padding"),
     "manifest_inner_softmax": infer_with_manifest(
         insert_node("head", 1, {"kind": "softmax"}), "head[1]: softmax is allowed only as"),
+    "manifest_block_main_empty": infer_with_manifest(
+        set_key(["blocks", 1, "main"], []), "blocks[1]: main path is empty"),
+    "manifest_num_classes_fractional": infer_with_manifest(
+        set_key(["num_classes"], 5.7), "manifest structure invalid: num_classes must be"),
+    "manifest_num_classes_string": infer_with_manifest(
+        set_key(["num_classes"], "5"), "manifest structure invalid: num_classes must be"),
+    "manifest_shape_fractional": infer_with_manifest(
+        set_key(["tensors", "stem.conv.w", "shape", 0], 4.5),
+        "manifest structure invalid: tensor table entry stem.conv.w: shape[0] must be"),
+    "manifest_shape_string": infer_with_manifest(
+        set_key(["tensors", "stem.conv.w", "shape", 0], "4"),
+        "manifest structure invalid: tensor table entry stem.conv.w: shape[0] must be"),
+    "manifest_preprocess_string": infer_with_manifest(
+        set_key(["preprocess", "mean", 1], "0.5"),
+        "manifest structure invalid: preprocess.mean[1] must be a number"),
+    "manifest_preprocess_bool": infer_with_manifest(
+        set_key(["preprocess", "std", 2], True),
+        "manifest structure invalid: preprocess.std[2] must be a number"),
+    "manifest_preprocess_two_entries": infer_with_manifest(
+        set_key(["preprocess", "mean"], [0.5, 0.5]), "preprocess mean/std must each have 3"),
+    "manifest_missing": lambda tmp_path: (
+        ["infer", "--model", str(tmp_path / "none.json"), "--image", image(tmp_path)], 2,
+        "manifest not found"),
+    "manifest_node_not_object": infer_with_manifest(
+        set_key(["stem", 1], 5), "stem[1]: node is not an object with a kind"),
+    "manifest_unknown_kind": infer_with_manifest(
+        set_key(["stem", 2], {"kind": "gelu"}), "stem[2]: unknown node kind 'gelu'"),
+    "manifest_node_missing_field": infer_with_manifest(
+        drop_key(["stem", 0, "weight"]), "stem[0]: conv node missing field 'weight'"),
+    "manifest_bad_skip_kind": infer_with_manifest(
+        set_key(["blocks", 0, "skip", "kind"], "dense"),
+        "blocks[0]: skip must be identity or projection"),
+    "manifest_projection_skip_not_conv_bn": infer_with_manifest(
+        set_key(["blocks", 0, "skip", "bn"], {"kind": "relu"}),
+        "blocks[0]: projection skip must be conv + bn"),
+    "manifest_tensor_entry_without_shape": infer_with_manifest(
+        drop_key(["tensors", "head.fc.w", "shape"]), "tensor table entry head.fc.w"),
+    "manifest_rank_5_shape": infer_with_manifest(
+        set_key(["tensors", "head.fc.b", "shape"], [1, 1, 1, 1, 5]),
+        "tensor head.fc.b: shape [1, 1, 1, 1, 5] must be rank 1-4"),
+    "graph_stride_zero": infer_with_manifest(
+        set_key(["stem", 0, "stride"], 0), "stem[0]: invalid stride/padding"),
+    "graph_maxpool_in_block": infer_with_manifest(
+        lambda doc: doc["blocks"][1]["main"].append(
+            {"kind": "maxpool", "k": 1, "stride": 1, "padding": 0}),
+        "blocks[1].main[8]: maxpool not allowed inside a block"),
+    "graph_gap_after_gap": infer_with_manifest(
+        insert_node("head", 1, {"kind": "gap"}), "head[1]: gap after gap"),
+    "graph_fc_without_gap": infer_with_manifest(
+        lambda doc: doc["head"].pop(0), "head[0]: fc requires a rank-1 input"),
+    "graph_class_count_mismatch": infer_with_manifest(
+        set_key(["num_classes"], 4), "head produces 5 classes, manifest declares 4"),
+    "graph_conv_channel_mismatch": infer_with_manifest(
+        set_key(["blocks", 1, "main", 0, "weight"], "stem.conv.w"),
+        "blocks[1].main[0]: conv expects 3 input channels but receives 4"),
+    "graph_bias_length": infer_with_manifest(
+        set_key(["head", 1, "bias"], "stem.bn.gamma"),
+        "head[1]: fc bias stem.bn.gamma must have 5 entries"),
+    "graph_bn_parameter_length": infer_with_manifest(
+        set_key(["stem", 1, "gamma"], "head.fc.b"), "stem[1]: bn gamma must have 4 entries"),
+    "ppm_truncated_header": infer_on_ppm(b"P6\n8 8\n", "in.ppm: truncated PPM header"),
+    "ppm_non_numeric_field": infer_on_ppm(b"P6\n8 x\n255\n" + bytes(192),
+                                          "in.ppm: non-numeric header field"),
+    "ppm_zero_width": infer_on_ppm(b"P6\n0 8\n255\n", "in.ppm: non-positive dimensions"),
+    "ppm_empty": infer_on_ppm(b"", "in.ppm: bad magic"),
+    "csv_ragged": evaluate_on_csv("0.5,0.5\n0.5\n", "att.csv: malformed attribution CSV"),
+    "csv_empty": evaluate_on_csv("", "att.csv: malformed attribution CSV"),
+    "csv_non_numeric": evaluate_on_csv("0.5,0.5\n\n0.5,abc\n",
+                                       "att.csv:3: could not convert string to float: 'abc'"),
+    "threads_zero": fixed(explain("--threads", "0"), 2, "--threads must be >= 1"),
+    "topk_zero": fixed(toy("toy", "--topk", "0"), 2, "--topk must be >= 1"),
+    "toy_non_integer": fixed(toy("toy:4,2,x,8"), 2, "non-integer toy model parameter"),
+    "toy_two_parameters": fixed(toy("toy:4,2"), 2, "--model toy:<channels>,<blocks>"),
+    "toy_odd_size": fixed(toy("toy:4,2,5,7"), 2, "input_hw must be even"),
+    "toy_no_blocks": fixed(toy("toy:4,0,5,8"), 2, "toy model needs at least one block"),
+    "images_manifest_missing": lambda tmp_path: (
+        evaluate(tmp_path, "--recompute", "--images", str(tmp_path / "none.txt")), 2,
+        "image manifest not found"),
+    "evaluate_without_attribution_or_recompute": lambda tmp_path: (
+        evaluate(tmp_path, "--image", image(tmp_path)), 2,
+        "provide --attribution <csv> or --recompute"),
+    "attribution_with_images": lambda tmp_path: (
+        evaluate(tmp_path, "--attribution", "att.csv", "--images", images_manifest(tmp_path)),
+        2, "--attribution applies to a single --image"),
+    "image_and_images": lambda tmp_path: (
+        evaluate(tmp_path, "--recompute", "--image", image(tmp_path),
+                 "--images", images_manifest(tmp_path)), 2,
+        "exactly one of --image and --images"),
     "missing_image": missing_image,
     "bad_ppm": bad_ppm,
     "non_finite_csv": non_finite_csv,

@@ -456,6 +456,11 @@ class TestExplain:
                 assert cfg.rule_at(b) == want
             assert cfg.rule_at(blocks) == ("epsilon" if mixture else rule)
 
+    def test_unset_mixture_boundary_has_no_rule_by_depth(self):
+        # Only the model's block count says what an unset boundary means.
+        with pytest.raises(ValueError, match="mixture_boundary is unset"):
+            lrp.RuleConfig(rule="mixture").rule_at(0)
+
     def test_mixture_boundary_validated(self, toy_graph):
         sample = make_sample(toy_graph, seed=35)
         with pytest.raises(ValueError, match="mixture_boundary"):

@@ -8,8 +8,9 @@ from relprop.image import (ImageFormatError, load_ppm, normalize, read_map_csv,
                            write_attribution, write_ppm)
 from relprop.model import (BadMagicError, BadTensorDtypeError, DanglingTensorNameError,
                            GraphValidationError, MissingTensorFileError,
-                           NonFiniteTensorError, Preprocess, TensorShapeMismatchError,
-                           generate_toy_resnet, load_model, save_model)
+                           NodeSpec, NonFiniteTensorError, Preprocess,
+                           TensorShapeMismatchError, generate_toy_resnet, load_model,
+                           save_model)
 from relprop.forward import run_forward
 
 from conftest import make_sample
@@ -162,6 +163,10 @@ class TestLoadModel:
         manifest.write_text(json.dumps(doc))
         with pytest.raises((TensorShapeMismatchError, GraphValidationError)):
             load_model(manifest)
+
+    def test_node_of_unknown_kind_cannot_be_built(self):
+        with pytest.raises(GraphValidationError, match="unknown node kind 'gelu'"):
+            NodeSpec("gelu")
 
 
 class TestToyModel:
