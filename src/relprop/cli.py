@@ -149,6 +149,8 @@ def _map_jobs(fn, items, threads: int) -> list:
         return [fn(item) for item in items]
     # Imported here: a single-threaded run never loads the pool's modules.
     from concurrent.futures import ThreadPoolExecutor
+    # The pool's threads end when it exits, and their conv workspaces
+    # (ops.workspace) are freed with them.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -69,10 +69,10 @@ def load_ppm(path: str | Path, preprocess: Preprocess) -> ImageSample:
     fields = []
     for _ in range(3):
         token, pos = _read_header_token(data, pos, path)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise ImageFormatError(f"{path}: non-numeric header field {token!r}") from exc
+        # ASCII digits only: int() would also take a sign or digit underscores.
+        if not token.isdigit():
+            raise ImageFormatError(f"{path}: non-numeric header field {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: non-positive dimensions {width} x {height}")
@@ -134,6 +134,9 @@ def read_map_csv(path: str | Path) -> np.ndarray:
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
+        # float() would read the cell 1_0 as 10.0.
+        if "_" in line:
+            raise ValueError(f"{path}:{number}: '_' in a number")
         try:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:

@@ -26,9 +26,12 @@ the simplest strictly conserving completion.
 
 Bias terms feed the forward pass but absorb no relevance under either rule.
 
-One ``explain`` call owns one :class:`Workspace`: every conv backward in that
-call unrolls its input and back-projects its shares in the same two buffers.
-Nothing is shared between calls, so concurrent explanations stay independent.
+Every conv backward pads, unrolls, multiplies and back-projects in the
+calling thread's :func:`relprop.ops.workspace`, the scratch its forward convs
+use too, so a steady-state explanation takes no fresh conv scratch. The
+buffers live as long as the thread; threads never share one, so concurrent
+explanations stay independent, and every relevance map returned is a fresh
+array. ``work=`` hands a conv backward another :class:`Workspace` instead.
 """
 
 from __future__ import annotations
@@ -125,22 +128,8 @@ class AttributionMap:
         return self.raw if self.quantized is None else self.quantized
 
 
-class Workspace:
-    """Two float64 scratch buffers for the conv backward passes of one call:
-    one holds the unrolled input columns, the other the back-projected shares.
-    Both grow to the largest layer served; their contents never outlive the
-    layer that wrote them.
-    """
-
-    def __init__(self):
-        self._cols = self._shares = np.empty(0)
-
-    def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """C-contiguous (columns, shares) views of the given shape."""
-        n = math.prod(shape)
-        if self._cols.size < n:
-            self._cols, self._shares = np.empty(n), np.empty(n)
-        return self._cols[:n].reshape(shape), self._shares[:n].reshape(shape)
+# The conv scratch class, kept under its old name here.
+Workspace = ops.Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +155,17 @@ def seed_relevance(probs: np.ndarray, class_index: int) -> np.ndarray:
 
 def _ratio(r: np.ndarray, z: np.ndarray, rule: str,
            epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Relevance per unit of share total, r / z, for a fresh z this may overwrite.
+    """Relevance per unit of share total, r / z, for a scratch z this may overwrite.
 
     z+ divides only where the share total is nonzero, leaves 0 elsewhere, and
-    returns that dead mask for the caller's completion. Epsilon first shifts z
-    away from zero (sign(0) counts as +1, so zero totals become +epsilon) and
-    returns no mask: it leaks instead of completing.
+    returns that dead mask for the caller's completion; with no zero total it
+    is one plain divide and no mask. Epsilon first shifts z away from zero
+    (sign(0) counts as +1, so zero totals become +epsilon) and returns no
+    mask: it leaks instead of completing.
     """
     if rule == "zplus":
+        if np.count_nonzero(z) == z.size:
+            return np.divide(r, z, out=z), None
         dead = z == 0.0
         return np.divide(r, z, out=np.zeros_like(z), where=~dead), dead
     if rule == "epsilon":
@@ -199,10 +191,10 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
     it is. Padding cells carry zero activation so they drop out of both the
     share numerators and the denominators; nothing is scattered onto them.
 
-    With ``work``, the unrolled columns and the back-projected shares live in
-    its buffers instead of fresh arrays.
+    The padded input, its columns, z and the shares live in ``work``, or in
+    the calling thread's workspace when it is None; the result is fresh.
     """
-    x = _as64(x)
+    x = np.asarray(x)
     weight = _as64(weight)
     r_out = _as64(r_out)
     if x.ndim != 3 or weight.ndim != 4:
@@ -217,13 +209,15 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         raise ops.ShapeMismatch(
             f"lrp_conv r_out shape {r_out.shape} != expected {(c_out, out_h, out_w)}")
 
-    cols, shares = (None, None) if work is None else work.take((c_in * k * k, out_h * out_w))
-    cols = ops.im2col(ops.pad2d(x, padding, 0.0), k, stride, out_h, out_w,
+    work = ops.workspace() if work is None else work
+    cols, shares = work.take((c_in * k * k, out_h * out_w))
+    cols = ops.im2col(work.padded(x, padding), k, stride, out_h, out_w,
                       out=cols)  # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
     wmat = (np.maximum(weight, 0.0) if rule == "zplus" else weight).reshape(c_out, -1)
-    ratio, dead = _ratio(r_flat, wmat @ cols, rule, epsilon)      # (C_out, L)
+    z = np.matmul(wmat, cols, out=work.buffer("z", r_flat.shape))
+    ratio, dead = _ratio(r_flat, z, rule, epsilon)      # (C_out, L)
     shares = np.matmul(wmat.T, ratio, out=shares)
     np.multiply(cols, shares, out=shares)
     r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
@@ -335,7 +329,7 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
 
 
 def path_backward(traces: list[NodeTrace], r: np.ndarray, rule: str, epsilon: float,
-                  work: Workspace | None) -> np.ndarray:
+                  work: Workspace | None = None) -> np.ndarray:
     """Backward relevance through a traced path of nodes, last node first."""
     for node_trace in reversed(traces):
         r = node_backward(node_trace, r, rule, epsilon, work=work)
@@ -450,13 +444,12 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
 
     # The seed is the softmax output, the head's last node (validate_graph
     # allows a softmax nowhere else).
-    work = Workspace()
     r = path_backward(trace.head[:-1], r, config.rule_at(len(trace.blocks)),
-                      config.epsilon, work)
+                      config.epsilon)
     for b in range(len(trace.blocks) - 1, -1, -1):
-        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_at(b), work=work)
+        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_at(b))
         state.record(block_input_label(b + 1), r)
-    r = path_backward(trace.stem, r, config.rule_at(-1), config.epsilon, work)
+    r = path_backward(trace.stem, r, config.rule_at(-1), config.epsilon)
     state.record(CHECKPOINT_INPUT, r)
 
     raw = channel_sum(r)

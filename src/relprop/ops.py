@@ -17,15 +17,32 @@ columns is not: BLAS may pick a different kernel for the wider product.)
 
 Convolution follows the deep-learning convention: cross-correlation with zero
 padding (no kernel flip).
+
+Conv scratch memory is per thread. :func:`workspace` returns the calling
+thread's :class:`Workspace`, made on its first conv and kept for the thread's
+life. ``conv2d_forward`` pads and unrolls its input in it, and
+``lrp.lrp_conv`` also keeps its shares and z there, so a steady-state run
+takes no fresh scratch memory from the allocator (which would hand it back to
+the OS between layers and fault it in again). It is safe because threads
+never share a workspace, within a thread each conv is done with the buffers
+before it returns, and nothing a conv returns (or a forward trace keeps) is a
+view of one. A pool thread's workspace is freed when the thread exits. On the
+64ch/8-block/64px toy it holds 7.0 MiB: padded input 0.5, columns 2.25,
+shares 2.25, z 2.0.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ShapeMismatch",
+    "Workspace",
+    "workspace",
     "conv2d_forward",
     "maxpool_forward",
     "gap_forward",
@@ -79,6 +96,53 @@ def pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
     out = np.full(x.shape[:-2] + (h + 2 * padding, w + 2 * padding), fill, dtype=x.dtype)
     out[..., padding : padding + h, padding : padding + w] = x
     return out
+
+
+class Workspace:
+    """Float64 scratch for conv passes: the padded input and its unrolled
+    columns (forward and backward), and the back-projected shares and the z
+    share totals (backward). Each buffer grows to the largest layer it has
+    served and is reused after that; its contents are dead once the call that
+    wrote them returns.
+    """
+
+    def __init__(self):
+        self._bufs = dict.fromkeys(("padded", "cols", "shares", "z"), np.empty(0))
+
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of the named buffer with the given shape,
+        holding whatever the last user left there."""
+        buf, n = self._bufs[name], math.prod(shape)
+        if buf.size < n:
+            buf = self._bufs[name] = np.empty(n)
+        return buf[:n].reshape(shape)
+
+    def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous (columns, shares) views of the given shape."""
+        return self.buffer("cols", shape), self.buffer("shares", shape)
+
+    def padded(self, x: np.ndarray, padding: int) -> np.ndarray:
+        """The (N x) C x H x W map x framed by ``padding`` zeros, cast to float64
+        in the padded buffer: :func:`pad2d` and the cast in one copy."""
+        p = padding
+        h, w = x.shape[-2:]
+        out = self.buffer("padded", x.shape[:-2] + (h + 2 * p, w + 2 * p))
+        if p:  # one fill is cheaper than four frame strips on small maps
+            out.fill(0.0)
+        out[..., p : p + h, p : p + w] = x
+        return out
+
+
+_local = threading.local()
+
+
+def workspace() -> Workspace:
+    """The calling thread's conv workspace, made on first use."""
+    try:
+        return _local.work
+    except AttributeError:
+        _local.work = Workspace()
+        return _local.work
 
 
 def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
@@ -146,7 +210,9 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     out_h = conv_output_extent(h, kh, stride, padding, "height")
     out_w = conv_output_extent(w, kw, stride, padding, "width")
 
-    cols = im2col(pad2d(xb, padding, 0.0).astype(np.float64), kh, stride, out_h, out_w)
+    work = workspace()
+    cols = im2col(work.padded(xb, padding), kh, stride, out_h, out_w,
+                  out=work.buffer("cols", (n, c * kh * kw, out_h * out_w)))
     # One GEMM per image, broadcast over the batch axis by matmul.
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:
@@ -254,7 +320,9 @@ def bn_forward(x, gamma, beta, mean, var, eps: float) -> np.ndarray:
     if eps < 0 or not np.all(var + np.float32(eps) > 0):
         raise ValueError("bn requires var + eps > 0")
     scale = (gamma / np.sqrt(var + np.float32(eps)))[:, None, None]
-    y = (xb - mean[:, None, None]) * scale + beta[:, None, None]
+    y = xb - mean[:, None, None]
+    y *= scale
+    y += beta[:, None, None]
     return y if batched else y[0]
 
 

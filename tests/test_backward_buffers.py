@@ -1,4 +1,4 @@
-"""The backward pass's buffers: the per-call conv workspace, the rule functions'
+"""The backward pass's buffers: the conv workspace, the rule functions'
 promise to only read their arguments, and the slim forward trace."""
 
 import dataclasses

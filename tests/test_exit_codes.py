@@ -258,12 +258,17 @@ CASES = {
     "ppm_truncated_header": infer_on_ppm(b"P6\n8 8\n", "in.ppm: truncated PPM header"),
     "ppm_non_numeric_field": infer_on_ppm(b"P6\n8 x\n255\n" + bytes(192),
                                           "in.ppm: non-numeric header field"),
+    "ppm_signed_field": infer_on_ppm(b"P6\n2 +2\n255\n" + bytes(12),
+                                     "in.ppm: non-numeric header field b'+2'"),
+    "ppm_underscore_field": infer_on_ppm(b"P6\n2 2\n2_55\n" + bytes(12),
+                                         "in.ppm: non-numeric header field b'2_55'"),
     "ppm_zero_width": infer_on_ppm(b"P6\n0 8\n255\n", "in.ppm: non-positive dimensions"),
     "ppm_empty": infer_on_ppm(b"", "in.ppm: bad magic"),
     "csv_ragged": evaluate_on_csv("0.5,0.5\n0.5\n", "att.csv: malformed attribution CSV"),
     "csv_empty": evaluate_on_csv("", "att.csv: malformed attribution CSV"),
     "csv_non_numeric": evaluate_on_csv("0.5,0.5\n\n0.5,abc\n",
                                        "att.csv:3: could not convert string to float: 'abc'"),
+    "csv_underscore": evaluate_on_csv("0.5,0.5\n0.5,1_0\n", "att.csv:2: '_' in a number"),
     "threads_zero": fixed(explain("--threads", "0"), 2, "--threads must be >= 1"),
     "topk_zero": fixed(toy("toy", "--topk", "0"), 2, "--topk must be >= 1"),
     "toy_non_integer": fixed(toy("toy:4,2,x,8"), 2, "non-integer toy model parameter"),

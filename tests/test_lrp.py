@@ -192,6 +192,58 @@ class TestLrpConv:
         assert np.array_equal(np.signbit(mine), np.signbit(want))
 
 
+def masked_zplus_conv(x, weight, stride, padding, r_out):
+    """lrp_conv's z+ arithmetic with the masked divide on every unit: fresh
+    arrays, 0 where a share total is zero, then the uniform completion."""
+    c_out, _, k, _ = weight.shape
+    cols = ops.im2col(ops.pad2d(x, padding, 0.0), k, stride, *r_out.shape[1:])
+    wmat = np.maximum(weight, 0.0).reshape(c_out, -1)
+    z = wmat @ cols
+    r = r_out.reshape(c_out, -1)
+    dead = z == 0.0
+    ratio = np.divide(r, z, out=np.zeros_like(z), where=~dead)
+    r_in = ops.col2im_add(cols * (wmat.T @ ratio), x.shape, k, stride, padding)
+    dead_total = float(r[dead].sum())
+    if dead_total != 0.0:
+        r_in += dead_total / x.size
+    return r_in
+
+
+class TestZplusRatioBranches:
+    """Under z+, ``_ratio`` divides unmasked when no share total is zero and
+    masks only when one is; both must give the masked formula's bits."""
+
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("dead_unit", [False, True])
+    def test_matches_masked_formula_and_conserves(self, monkeypatch, k, stride, padding,
+                                                  dead_unit):
+        g = rnd(30)
+        x = g.uniform(0.1, 1.0, size=(3, 7, 7))     # every window holds input cells
+        w = g.normal(size=(4, 3, k, k))
+        w[:, 0, k // 2, k // 2] = g.uniform(0.1, 1.0, size=4)  # each total > 0 ...
+        if dead_unit:
+            w[1] = -np.abs(w[1])                     # ... but unit 1's, if dead
+        out_hw = (7 + 2 * padding - k) // stride + 1
+        r_out = g.normal(size=(4, out_hw, out_hw))
+        masks = []
+
+        def spy(*args):
+            ratio, dead = ratio_step(*args)
+            masks.append(dead)
+            return ratio, dead
+        ratio_step = lrp._ratio
+        monkeypatch.setattr(lrp, "_ratio", spy)
+        got = lrp.lrp_conv(x, w, stride, padding, r_out, "zplus")
+
+        assert len(masks) == 1 and (masks[0] is not None) == dead_unit
+        if dead_unit:
+            assert masks[0][1].all() and not masks[0][[0, 2, 3]].any()
+        want = masked_zplus_conv(x, w, stride, padding, r_out)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert abs(got.sum() - r_out.sum()) <= 1e-12 * np.abs(r_out).sum()
+
+
 class TestLrpMaxpool:
     def test_routes_to_winner(self):
         r_in = lrp.lrp_maxpool(np.array([[[3]]]), np.array([[[1.0]]]), (1, 2, 2))
