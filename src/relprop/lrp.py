@@ -31,7 +31,7 @@ calling thread's :func:`relprop.ops.workspace`, the scratch its forward convs
 use too, so a steady-state explanation takes no fresh conv scratch. The
 buffers live as long as the thread; threads never share one, so concurrent
 explanations stay independent, and every relevance map returned is a fresh
-array. ``work=`` hands a conv backward another :class:`Workspace` instead.
+array.
 """
 
 from __future__ import annotations
@@ -157,17 +157,16 @@ def _ratio(r: np.ndarray, z: np.ndarray, rule: str,
            epsilon: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Relevance per unit of share total, r / z, for a scratch z this may overwrite.
 
-    z+ divides only where the share total is nonzero, leaves 0 elsewhere, and
-    returns that dead mask for the caller's completion; with no zero total it
-    is one plain divide and no mask. Epsilon first shifts z away from zero
-    (sign(0) counts as +1, so zero totals become +epsilon) and returns no
-    mask: it leaks instead of completing.
+    z+ divides only where the share total is nonzero, leaves +0.0 elsewhere,
+    and returns that dead mask for the caller's completion. Epsilon first
+    shifts z away from zero (sign(0) counts as +1, so zero totals become
+    +epsilon) and returns no mask: it leaks instead of completing.
     """
     if rule == "zplus":
-        if np.count_nonzero(z) == z.size:
-            return np.divide(r, z, out=z), None
         dead = z == 0.0
-        return np.divide(r, z, out=np.zeros_like(z), where=~dead), dead
+        ratio = np.divide(r, z, out=z, where=~dead)
+        ratio[dead] = 0.0
+        return ratio, dead
     if rule == "epsilon":
         z += np.where(z < 0, -epsilon, epsilon)
         return np.divide(r, z, out=z), None
@@ -185,14 +184,13 @@ def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> 
 
 
 def lrp_conv(x, weight, stride: int, padding: int, r_out,
-             rule: str = "zplus", epsilon: float = 1e-6, *,
-             work: Workspace | None = None) -> np.ndarray:
+             rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
     """Backward relevance through a conv layer, treated as the linear projection
     it is. Padding cells carry zero activation so they drop out of both the
     share numerators and the denominators; nothing is scattered onto them.
 
-    The padded input, its columns, z and the shares live in ``work``, or in
-    the calling thread's workspace when it is None; the result is fresh.
+    The padded input, its columns, z and the shares live in the calling
+    thread's workspace; the result is fresh.
     """
     x = np.asarray(x)
     weight = _as64(weight)
@@ -209,16 +207,14 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
         raise ops.ShapeMismatch(
             f"lrp_conv r_out shape {r_out.shape} != expected {(c_out, out_h, out_w)}")
 
-    work = ops.workspace() if work is None else work
-    cols, shares = work.take((c_in * k * k, out_h * out_w))
-    cols = ops.im2col(work.padded(x, padding), k, stride, out_h, out_w,
-                      out=cols)  # (C_in*k*k, L)
+    work = ops.workspace()
+    cols = work.columns(x, k, stride, padding, out_h, out_w)  # (C_in*k*k, L)
     r_flat = r_out.reshape(c_out, -1)
 
     wmat = (np.maximum(weight, 0.0) if rule == "zplus" else weight).reshape(c_out, -1)
     z = np.matmul(wmat, cols, out=work.buffer("z", r_flat.shape))
     ratio, dead = _ratio(r_flat, z, rule, epsilon)      # (C_out, L)
-    shares = np.matmul(wmat.T, ratio, out=shares)
+    shares = np.matmul(wmat.T, ratio, out=work.buffer("shares", cols.shape))
     np.multiply(cols, shares, out=shares)
     r_in = ops.col2im_add(shares, x.shape, k, stride, padding)
     dead_total = 0.0 if dead is None else float(r_flat[dead].sum())
@@ -304,12 +300,12 @@ def split_relevance(r, h_s, h_m, splitting: str, include_identity: bool,
 
 
 def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
-                  epsilon: float, *, work: Workspace | None = None) -> np.ndarray:
+                  epsilon: float) -> np.ndarray:
     """Backward relevance through one traced node."""
     kind = trace.spec.kind
     if kind == "conv":
         return lrp_conv(trace.x, trace.weight, trace.spec.stride, trace.spec.padding,
-                        r, rule, epsilon, work=work)
+                        r, rule, epsilon)
     if kind == "fc":
         return lrp_linear(trace.x, trace.weight, r, rule, epsilon)
     if kind == "gap":
@@ -328,17 +324,16 @@ def node_backward(trace: NodeTrace, r: np.ndarray, rule: str,
                      "it only generates the seed")
 
 
-def path_backward(traces: list[NodeTrace], r: np.ndarray, rule: str, epsilon: float,
-                  work: Workspace | None = None) -> np.ndarray:
+def path_backward(traces: list[NodeTrace], r: np.ndarray, rule: str,
+                  epsilon: float) -> np.ndarray:
     """Backward relevance through a traced path of nodes, last node first."""
     for node_trace in reversed(traces):
-        r = node_backward(node_trace, r, rule, epsilon, work=work)
+        r = node_backward(node_trace, r, rule, epsilon)
     return r
 
 
 def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
-                         rule: str | None = None, *,
-                         work: Workspace | None = None) -> np.ndarray:
+                         rule: str | None = None) -> np.ndarray:
     """Backward relevance through one bottleneck block.
 
     The post-merge ReLU passes relevance through; the merge splits it between
@@ -354,11 +349,11 @@ def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
     r = passthrough(r)  # post-merge relu
     r_s, r_m = split_relevance(r, trace.h_s, trace.h_m, config.splitting,
                                config.include_identity, trace.spec.identity_skip)
-    r_m = path_backward(trace.main, r_m, rule, config.epsilon, work)
+    r_m = path_backward(trace.main, r_m, rule, config.epsilon)
     if not trace.spec.identity_skip:
         if trace.skip is None or len(trace.skip) != 2:
             raise LookupError("block trace is missing the projection skip cache")
-        r_s = path_backward(trace.skip, r_s, rule, config.epsilon, work)
+        r_s = path_backward(trace.skip, r_s, rule, config.epsilon)
     r_m += r_s  # r_m is a fresh array: the split's share or a layer's output
     return r_m
 

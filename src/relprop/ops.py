@@ -28,7 +28,9 @@ never share a workspace, within a thread each conv is done with the buffers
 before it returns, and nothing a conv returns (or a forward trace keeps) is a
 view of one. A pool thread's workspace is freed when the thread exits. On the
 64ch/8-block/64px toy it holds 7.0 MiB: padded input 0.5, columns 2.25,
-shares 2.25, z 2.0.
+shares 2.25, z 2.0. A batched forward pads and unrolls its whole stack at
+once, so the padded and columns buffers keep the size of the largest stack
+the thread has forwarded.
 """
 
 from __future__ import annotations
@@ -117,10 +119,6 @@ class Workspace:
             buf = self._bufs[name] = np.empty(n)
         return buf[:n].reshape(shape)
 
-    def take(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """C-contiguous (columns, shares) views of the given shape."""
-        return self.buffer("cols", shape), self.buffer("shares", shape)
-
     def padded(self, x: np.ndarray, padding: int) -> np.ndarray:
         """The (N x) C x H x W map x framed by ``padding`` zeros, cast to float64
         in the padded buffer: :func:`pad2d` and the cast in one copy."""
@@ -131,6 +129,19 @@ class Workspace:
             out.fill(0.0)
         out[..., p : p + h, p : p + w] = x
         return out
+
+    def columns(self, x: np.ndarray, k: int, stride: int, padding: int,
+                out_h: int, out_w: int) -> np.ndarray:
+        """:func:`im2col` of x framed by ``padding`` zeros, in this workspace:
+        the padded map goes to the padded buffer and its columns to the
+        columns buffer, except a 1x1 stride-1 unroll, a view of the padded
+        buffer that leaves the columns buffer as it is."""
+        xpad = self.padded(x, padding)
+        out = None
+        if not _pointwise(k, stride):
+            c = xpad.shape[-3]
+            out = self.buffer("cols", xpad.shape[:-3] + (c * k * k, out_h * out_w))
+        return im2col(xpad, k, stride, out_h, out_w, out=out)
 
 
 _local = threading.local()
@@ -145,6 +156,11 @@ def workspace() -> Workspace:
         return _local.work
 
 
+def _pointwise(k: int, stride: int) -> bool:
+    """Whether a k x k window at this stride unrolls to its input's own layout."""
+    return k == 1 and stride == 1
+
+
 def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
            out: np.ndarray | None = None) -> np.ndarray:
     """Unroll k x k receptive fields of a padded (N x) C x Hp x Wp map into columns.
@@ -156,7 +172,7 @@ def im2col(xpad: np.ndarray, k: int, stride: int, out_h: int, out_w: int,
     """
     lead, c = xpad.shape[:-3], xpad.shape[-3]
     shape = lead + (c * k * k, out_h * out_w)
-    if k == 1 and stride == 1:
+    if _pointwise(k, stride):
         return xpad.reshape(shape)
     win = sliding_window_view(xpad, (k, k), axis=(-2, -1))
     win = np.moveaxis(win[..., ::stride, ::stride, :, :], (-2, -1), (-4, -3))
@@ -179,7 +195,7 @@ def col2im_add(cols: np.ndarray, shape: tuple[int, int, int], k: int, stride: in
     """
     c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    if k == 1 and stride == 1:
+    if _pointwise(k, stride):
         return cols.reshape(c, hp, wp)[:, padding : padding + h, padding : padding + w] + 0.0
     out_h = (hp - k) // stride + 1
     out_w = (wp - k) // stride + 1
@@ -210,9 +226,7 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     out_h = conv_output_extent(h, kh, stride, padding, "height")
     out_w = conv_output_extent(w, kw, stride, padding, "width")
 
-    work = workspace()
-    cols = im2col(work.padded(xb, padding), kh, stride, out_h, out_w,
-                  out=work.buffer("cols", (n, c * kh * kw, out_h * out_w)))
+    cols = workspace().columns(xb, kh, stride, padding, out_h, out_w)
     # One GEMM per image, broadcast over the batch axis by matmul.
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:

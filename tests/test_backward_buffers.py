@@ -1,5 +1,5 @@
-"""The backward pass's buffers: the conv workspace, the rule functions'
-promise to only read their arguments, and the slim forward trace."""
+"""The backward pass's buffers: the per-thread conv workspace, the rule
+functions' promise to only read their arguments, and the slim forward trace."""
 
 import dataclasses
 import sys
@@ -30,6 +30,25 @@ def conv_case(seed, c_in, c_out, hw, k, stride, padding):
     r_out = g.normal(size=(c_out, out_hw, out_hw))
     r_out[0, 0, 0] = -0.0
     return x, weight, r_out
+
+
+def stale_workspace(rule):
+    """Grow this thread's workspace past every conv_case layer, then fill its
+    buffers with NaN, leftovers a stray read would carry into a result."""
+    big = conv_case(9, 5, 6, 10, 3, 1, 1)
+    lrp.lrp_conv(*big[:2], 1, 1, big[2], rule)
+    for buf in ops.workspace()._bufs.values():
+        buf.fill(np.nan)
+
+
+def in_new_thread(fn):
+    """fn() run on a new thread, whose workspace starts empty."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
 
 
 def assert_same_bits(a, b):
@@ -70,12 +89,13 @@ def float64_block(bt: BlockTrace) -> BlockTrace:
 class TestArgumentsOnlyRead:
     @pytest.mark.parametrize("k,stride,padding", CONV_SHAPES)
     @pytest.mark.parametrize("rule", ["zplus", "epsilon"])
-    @pytest.mark.parametrize("with_work", [False, True])
+    @pytest.mark.parametrize("with_work", [False, True])  # True: a stale workspace
     def test_lrp_conv(self, k, stride, padding, rule, with_work):
+        if with_work:
+            stale_workspace(rule)
         x, weight, r_out = conv_case(1, 3, 4, 7, k, stride, padding)
         check = ReadOnlyCheck(x, weight, r_out)
-        work = lrp.Workspace() if with_work else None
-        r_in = lrp.lrp_conv(x, weight, stride, padding, r_out, rule, work=work)
+        r_in = lrp.lrp_conv(x, weight, stride, padding, r_out, rule)
         check.assert_unchanged()
         assert not any(np.shares_memory(r_in, a) for a in (x, weight, r_out))
 
@@ -129,7 +149,7 @@ class TestArgumentsOnlyRead:
                                        for a in (nt.x, nt.weight) if a is not None]
         check = ReadOnlyCheck(*arrays)
         config = lrp.RuleConfig(splitting=splitting, include_identity=include_identity)
-        out = lrp.propagate_bottleneck(bt, r, config, rule, work=lrp.Workspace())
+        out = lrp.propagate_bottleneck(bt, r, config, rule)
         check.assert_unchanged()
         assert not any(np.shares_memory(out, a) for a in arrays)
 
@@ -138,33 +158,31 @@ class TestWorkspace:
     @pytest.mark.parametrize("k,stride,padding", CONV_SHAPES)
     @pytest.mark.parametrize("rule", ["zplus", "epsilon"])
     def test_fresh_workspace_matches_none(self, k, stride, padding, rule):
+        """A new thread's empty workspace gives this thread's bits."""
         x, weight, r_out = conv_case(8, 3, 4, 7, k, stride, padding)
         expected = lrp.lrp_conv(x, weight, stride, padding, r_out, rule)
-        got = lrp.lrp_conv(x, weight, stride, padding, r_out, rule,
-                           work=lrp.Workspace())
+        got = in_new_thread(lambda: lrp.lrp_conv(x, weight, stride, padding, r_out, rule))
         assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("k,stride,padding", CONV_SHAPES)
     @pytest.mark.parametrize("rule", ["zplus", "epsilon"])
     def test_stale_workspace_matches_none(self, k, stride, padding, rule):
-        work = lrp.Workspace()
-        big = conv_case(9, 5, 6, 10, 3, 1, 1)
-        lrp.lrp_conv(*big[:2], 1, 1, big[2], rule, work=work)
-        for buf in work.take((5 * 9, 100)):
-            buf[:5] = np.nan  # leftovers a stray read would carry into the result
+        """A workspace full of NaN leftovers gives an empty one's bits."""
         x, weight, r_out = conv_case(10, 3, 4, 7, k, stride, padding)
-        expected = lrp.lrp_conv(x, weight, stride, padding, r_out, rule)
-        got = lrp.lrp_conv(x, weight, stride, padding, r_out, rule, work=work)
+        expected = in_new_thread(lambda: lrp.lrp_conv(x, weight, stride, padding,
+                                                      r_out, rule))
+        stale_workspace(rule)
+        got = lrp.lrp_conv(x, weight, stride, padding, r_out, rule)
         assert_same_bits(got, expected)
 
     def test_buffers_are_reused_and_grow(self):
-        work = lrp.Workspace()
-        cols, shares = work.take((4, 5))
+        work = ops.Workspace()
+        cols, shares = work.buffer("cols", (4, 5)), work.buffer("shares", (4, 5))
         assert cols.shape == shares.shape == (4, 5)
         assert cols.flags.c_contiguous and not np.shares_memory(cols, shares)
-        small_cols, small_shares = work.take((2, 3))
+        small_cols, small_shares = work.buffer("cols", (2, 3)), work.buffer("shares", (2, 3))
         assert np.shares_memory(small_cols, cols) and np.shares_memory(small_shares, shares)
-        big_cols, _ = work.take((8, 5))
+        big_cols = work.buffer("cols", (8, 5))
         assert big_cols.shape == (8, 5) and not np.shares_memory(big_cols, cols)
 
     def test_im2col_into_buffer_matches_fresh(self):

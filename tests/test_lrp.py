@@ -209,39 +209,37 @@ def masked_zplus_conv(x, weight, stride, padding, r_out):
     return r_in
 
 
-class TestZplusRatioBranches:
-    """Under z+, ``_ratio`` divides unmasked when no share total is zero and
-    masks only when one is; both must give the masked formula's bits."""
+class TestZplusDeadUnits:
+    """Under z+, ``lrp_conv`` gives the masked formula's bits and conserves,
+    whether no share total is zero or an output unit is dead."""
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)])
     @pytest.mark.parametrize("dead_unit", [False, True])
-    def test_matches_masked_formula_and_conserves(self, monkeypatch, k, stride, padding,
-                                                  dead_unit):
+    def test_matches_masked_formula_and_conserves(self, k, stride, padding, dead_unit):
         g = rnd(30)
         x = g.uniform(0.1, 1.0, size=(3, 7, 7))     # every window holds input cells
         w = g.normal(size=(4, 3, k, k))
         w[:, 0, k // 2, k // 2] = g.uniform(0.1, 1.0, size=4)  # each total > 0 ...
         if dead_unit:
             w[1] = -np.abs(w[1])                     # ... but unit 1's, if dead
+        assert (w.reshape(4, -1).max(axis=1) <= 0).tolist() == [False, dead_unit, False, False]
         out_hw = (7 + 2 * padding - k) // stride + 1
         r_out = g.normal(size=(4, out_hw, out_hw))
-        masks = []
 
-        def spy(*args):
-            ratio, dead = ratio_step(*args)
-            masks.append(dead)
-            return ratio, dead
-        ratio_step = lrp._ratio
-        monkeypatch.setattr(lrp, "_ratio", spy)
         got = lrp.lrp_conv(x, w, stride, padding, r_out, "zplus")
-
-        assert len(masks) == 1 and (masks[0] is not None) == dead_unit
-        if dead_unit:
-            assert masks[0][1].all() and not masks[0][[0, 2, 3]].any()
         want = masked_zplus_conv(x, w, stride, padding, r_out)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert abs(got.sum() - r_out.sum()) <= 1e-12 * np.abs(r_out).sum()
+
+    def test_ratio_is_the_masked_quotient(self):
+        r = np.array([1.0, -2.0, 3.0, -0.0])
+        z = np.array([2.0, -0.0, 0.0, 4.0])             # a dead total of each sign
+        want = np.divide(r, z, out=np.zeros_like(z), where=z != 0.0)
+        ratio, dead = lrp._ratio(r, z.copy(), "zplus", 1e-6)
+        assert dead.tolist() == [False, True, True, False]
+        assert np.array_equal(ratio, want)
+        assert np.array_equal(np.signbit(ratio), np.signbit(want))
 
 
 class TestLrpMaxpool:

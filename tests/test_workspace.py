@@ -139,6 +139,20 @@ class TestPerThread:
                 assert not any(np.shares_memory(x, y)
                                for x in buffers(a) for y in buffers(b))
 
+    def test_pointwise_convs_leave_the_columns_buffer_alone(self):
+        def run():
+            g = np.random.default_rng(31)
+            ops.conv2d_forward(g.normal(size=(2, 8, 9, 9)), g.normal(size=(4, 8, 1, 1)))
+            lrp.lrp_conv(np.abs(g.normal(size=(8, 9, 9))), g.normal(size=(4, 8, 1, 1)),
+                         1, 0, g.normal(size=(4, 9, 9)))
+            sizes.update((name, buf.size) for name, buf in ops.workspace()._bufs.items())
+
+        sizes = {}
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=60)
+        assert sizes == {"padded": 2 * 8 * 81, "cols": 0, "shares": 8 * 81, "z": 4 * 81}
+
     def test_pool_threads_release_their_workspace(self):
         def job(_):
             ops.conv2d_forward(np.ones((2, 5, 5)), np.ones((3, 2, 3, 3)), padding=1)
