@@ -207,8 +207,7 @@ def _curves_for_image(graph: ModelGraph, job: JobConfig, path: Path
         sample, amap, _ = _explain_one(graph, job, path)
     else:
         sample = load_ppm(path, graph.preprocess)
-        amap = lrp.AttributionMap(raw=read_map_csv(job.attribution), quantized=None,
-                                  quantize_mode="off", bins=job.rule_config.bins)
+        amap = lrp.AttributionMap(raw=read_map_csv(job.attribution), quantized=None)
     c, (ins, dele) = ev.curves(graph, sample, amap, job.class_index, job.steps)
     return c, ins, dele
 

@@ -4,9 +4,12 @@ layers, every layer's input shape, pooling winner indices, and the pre-merge
 skip/main outputs of each block).
 
 A run takes one 3 x H x W image or a stack of them along a leading batch
-axis, and every layer keeps the input's rank. A trace is of one image, and
-holds its C x H x W arrays. A layer or merge whose output overflows float32
-fails the run with its location.
+axis, and every layer keeps the input's rank. Every block runs its main path
+and its skip path from the block input; an identity skip is the empty skip
+path (``BottleneckSpec.skip == ()``, ``{"kind": "identity"}`` in the
+manifest), so its output is the block input itself. A trace is of one image,
+and holds its C x H x W arrays. A layer or merge whose output overflows
+float32 fails the run with its location.
 
 Everything here is a pure function of (graph, input); a loaded graph is
 immutable and may be shared across concurrent runs.
@@ -48,7 +51,7 @@ class BlockTrace:
 
     spec: BottleneckSpec
     main: list[NodeTrace]
-    skip: list[NodeTrace] | None        # None for an identity skip
+    skip: list[NodeTrace]               # empty for an identity skip
     h_s: np.ndarray                     # skip output, pre-merge
     h_m: np.ndarray                     # main output, pre-merge
 
@@ -109,10 +112,7 @@ def _run_block(graph: ModelGraph, b: int, x: np.ndarray,
     block = graph.blocks[b]
     main_sink, skip_sink = (None, None) if sink is None else ([], [])
     h_m = _run_sequence(graph, block.main, x, "main", b, main_sink)
-    if block.skip is None:
-        h_s, skip_sink = x, None
-    else:
-        h_s = _run_sequence(graph, block.skip, x, "skip", b, skip_sink)
+    h_s = _run_sequence(graph, block.skip, x, "skip", b, skip_sink)
     if h_s.shape != h_m.shape:
         raise GraphExecutionError(f"{node_location('blocks', b)}: skip output "
                                   f"{h_s.shape[-3:]} does not match main output "

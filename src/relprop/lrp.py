@@ -119,17 +119,11 @@ class AttributionMap:
 
     raw: np.ndarray                   # H x W float64
     quantized: np.ndarray | None
-    quantize_mode: str
-    bins: int
 
     @property
     def values(self) -> np.ndarray:
         """The map downstream consumers should rank and export."""
         return self.raw if self.quantized is None else self.quantized
-
-
-# The conv scratch class, kept under its old name here.
-Workspace = ops.Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +336,15 @@ def propagate_bottleneck(trace: BlockTrace, r, config: RuleConfig,
     """
     if trace.h_s is None or trace.h_m is None or trace.main is None:
         raise LookupError("block trace is missing cached activations")
-    if len(trace.main) != len(trace.spec.main):
-        raise LookupError("block trace does not cover the whole main path")
+    if (len(trace.main), len(trace.skip)) != (len(trace.spec.main), len(trace.spec.skip)):
+        raise LookupError("block trace does not cover the whole main and skip paths")
     rule = config.rule_at(0) if rule is None else rule
 
     r = passthrough(r)  # post-merge relu
     r_s, r_m = split_relevance(r, trace.h_s, trace.h_m, config.splitting,
                                config.include_identity, trace.spec.identity_skip)
     r_m = path_backward(trace.main, r_m, rule, config.epsilon)
-    if not trace.spec.identity_skip:
-        if trace.skip is None or len(trace.skip) != 2:
-            raise LookupError("block trace is missing the projection skip cache")
-        r_s = path_backward(trace.skip, r_s, rule, config.epsilon)
+    r_s = path_backward(trace.skip, r_s, rule, config.epsilon)
     r_m += r_s  # r_m is a fresh array: the split's share or a layer's output
     return r_m
 
@@ -451,6 +442,4 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     quantized = None
     if config.quantize != "off":
         quantized = heat_quantize(raw, config.bins, config.quantize)
-    amap = AttributionMap(raw=raw, quantized=quantized,
-                          quantize_mode=config.quantize, bins=config.bins)
-    return amap, state
+    return AttributionMap(raw=raw, quantized=quantized), state

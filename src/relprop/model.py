@@ -122,18 +122,20 @@ def _field_value(name: str, value, where: str):
 
 @dataclass(frozen=True)
 class BottleneckSpec:
-    """A residual block: main conv/bn/relu path plus identity or projection skip."""
+    """A residual block: a main conv/bn/relu path and a skip path that meet at
+    the merge. A projection skip is ``(conv, bn)``; an identity skip is the
+    empty path ``()``, which the manifest spells ``{"kind": "identity"}``."""
 
     main: tuple[NodeSpec, ...]
-    skip: tuple[NodeSpec, NodeSpec] | None = None  # (conv, bn) or None for identity
+    skip: tuple[NodeSpec, ...] = ()
     post_merge_relu: bool = True
 
     @property
     def identity_skip(self) -> bool:
-        return self.skip is None
+        return not self.skip
 
     def to_json(self) -> dict:
-        if self.skip is None:
+        if not self.skip:
             skip = {"kind": "identity"}
         else:
             skip = {"kind": "projection", "conv": self.skip[0].to_json(),
@@ -157,7 +159,7 @@ class BottleneckSpec:
         skip_obj = obj.get("skip")
         if not isinstance(skip_obj, dict) or skip_obj.get("kind") not in ("identity", "projection"):
             raise GraphValidationError(f"{where}: skip must be identity or projection")
-        skip = None
+        skip = ()
         if skip_obj["kind"] == "projection":
             skip = tuple(NodeSpec.from_json(skip_obj.get(name),
                                             node_location("skip", i, index))
@@ -271,12 +273,9 @@ def validate_graph(graph: ModelGraph) -> None:
         main_out, main_stride = _check_path(graph, block.main, channels, "main", b,
                                             barred=("maxpool", "gap", "fc", "softmax"),
                                             place="inside a block")
-        if block.skip is None:
-            skip_out, skip_stride = channels, 1
-        else:
-            if tuple(n.kind for n in block.skip) != ("conv", "bn"):
-                raise GraphValidationError(f"{where}: projection skip must be conv + bn")
-            skip_out, skip_stride = _check_path(graph, block.skip, channels, "skip", b)
+        if block.skip and tuple(n.kind for n in block.skip) != ("conv", "bn"):
+            raise GraphValidationError(f"{where}: projection skip must be conv + bn")
+        skip_out, skip_stride = _check_path(graph, block.skip, channels, "skip", b)
         if main_out != skip_out:
             raise GraphValidationError(f"{where}: main path outputs {main_out} channels "
                                        f"but skip outputs {skip_out}")
@@ -473,13 +472,10 @@ def generate_toy_resnet(seed: int, channels: int = 4, blocks: int = 2,
             NodeSpec("conv", weight=weight(f"{p}.main.conv3.w", channels, mid, 1, 1)),
             _bn_identity(f"{p}.main.bn3", channels, tensors),
         )
-        if b == 0:
-            skip = (
-                NodeSpec("conv", weight=weight(f"{p}.skip.conv.w", channels, channels, 1, 1)),
-                _bn_identity(f"{p}.skip.bn", channels, tensors),
-            )
-        else:
-            skip = None
+        skip = () if b else (
+            NodeSpec("conv", weight=weight(f"{p}.skip.conv.w", channels, channels, 1, 1)),
+            _bn_identity(f"{p}.skip.bn", channels, tensors),
+        )
         block_specs.append(BottleneckSpec(main=main, skip=skip, post_merge_relu=True))
 
     head = (

@@ -7,13 +7,14 @@ Pool indices are int64 arrays of flat offsets into the *unpadded* pooling
 input; ties break toward the lowest flat offset so the backward winner routing
 is deterministic.
 
-Every forward kernel also takes a stack of N inputs along a leading batch
-axis (N x C x H x W maps, N x D vectors) and returns a stack. A single input
-runs as a batch of one, and each image's arithmetic is the single image's:
-each image gets its own GEMM of the single-image shape, and reductions run
-per image along the same axes. So every row of a batched result is bit for
-bit the kernel's result on that image alone. (One GEMM over all N images'
-columns is not: BLAS may pick a different kernel for the wider product.)
+Every forward kernel works on the trailing axes of its input, so it takes
+one input (C x H x W map, D vector) or a stack of N along a leading axis
+(N x C x H x W, N x D) through the same lines, and returns one result or a
+stack of them. Each image's arithmetic is the single image's: each image
+gets its own GEMM of the single-image shape, and reductions run per image
+along the same axes. So every row of a stack's result is bit for bit the
+kernel's result on that image alone. (One GEMM over all N images' columns
+is not: BLAS may pick a different kernel for the wider product.)
 
 Convolution follows the deep-learning convention: cross-correlation with zero
 padding (no kernel flip).
@@ -28,7 +29,7 @@ never share a workspace, within a thread each conv is done with the buffers
 before it returns, and nothing a conv returns (or a forward trace keeps) is a
 view of one. A pool thread's workspace is freed when the thread exits. On the
 64ch/8-block/64px toy it holds 7.0 MiB: padded input 0.5, columns 2.25,
-shares 2.25, z 2.0. A batched forward pads and unrolls its whole stack at
+shares 2.25, z 2.0. A forward of a stack pads and unrolls all of it at
 once, so the padded and columns buffers keep the size of the largest stack
 the thread has forwarded.
 """
@@ -64,15 +65,13 @@ def _as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
 
 
-def _as_batch(x, rank: int, what: str, shape: str) -> tuple[np.ndarray, bool]:
-    """x as a float32 stack with a leading batch axis, and whether x came with
-    one. An input of the per-item ``rank`` becomes a batch of one."""
-    x = _as_f32(x)
-    if x.ndim == rank:
-        return x[None], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise ShapeMismatch(f"{what} input must be {shape} or N x {shape}, got rank {x.ndim}")
+def _as_item_or_stack(x, rank: int, what: str, shape: str) -> np.ndarray:
+    """x as float32, if it is one item of the per-item ``rank`` or a stack of them.
+    The rank is checked before :func:`_as_f32`, which lifts a scalar to rank 1."""
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim not in (rank, rank + 1):
+        raise ShapeMismatch(f"{what} input must be {shape} or N x {shape}, got rank {x.ndim}")
+    return _as_f32(x)
 
 
 def conv_output_extent(extent: int, k: int, stride: int, padding: int, axis: str) -> int:
@@ -211,14 +210,14 @@ def col2im_add(cols: np.ndarray, shape: tuple[int, int, int], k: int, stride: in
 
 def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> np.ndarray:
     """2-D cross-correlation of a (N x) C_in x H x W map with C_out x C_in x k x k filters."""
-    xb, batched = _as_batch(x, 3, "conv", "C x H x W")
+    x = _as_item_or_stack(x, 3, "conv", "C x H x W")
     weight = _as_f32(weight)
     if weight.ndim != 4:
         raise ShapeMismatch(f"conv weight must be C_out x C_in x k x k, got rank {weight.ndim}")
     c_out, c_in, kh, kw = weight.shape
     if kh != kw:
         raise ShapeMismatch(f"conv kernel must be square, got {kh} x {kw}")
-    n, c, h, w = xb.shape
+    c, h, w = x.shape[-3:]
     if c_in != c:
         raise ShapeMismatch(
             f"conv weight expects {c_in} input channels, input has {c}"
@@ -226,7 +225,7 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     out_h = conv_output_extent(h, kh, stride, padding, "height")
     out_w = conv_output_extent(w, kw, stride, padding, "width")
 
-    cols = workspace().columns(xb, kh, stride, padding, out_h, out_w)
+    cols = workspace().columns(x, kh, stride, padding, out_h, out_w)
     # One GEMM per image, broadcast over the batch axis by matmul.
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:
@@ -236,8 +235,7 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
                 f"conv bias must have {c_out} entries, got shape {bias.shape}"
             )
         y += bias.astype(np.float64)[:, None]
-    y = y.reshape(n, c_out, out_h, out_w).astype(np.float32)
-    return y if batched else y[0]
+    return y.reshape(x.shape[:-3] + (c_out, out_h, out_w)).astype(np.float32)
 
 
 def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -250,16 +248,16 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     are all -inf. Ties go to the lowest flat offset, and a NaN in a
     window wins over every number in it.
     """
-    xb, batched = _as_batch(x, 3, "maxpool", "C x H x W")
-    n, c, h, w = xb.shape
+    x = _as_item_or_stack(x, 3, "maxpool", "C x H x W")
+    c, h, w = x.shape[-3:]
     out_h = conv_output_extent(h, k, stride, padding, "height")
     out_w = conv_output_extent(w, k, stride, padding, "width")
     if padding >= k:  # then the first window holds no input cell
         raise ValueError("maxpool window lies entirely in padding")
 
-    # Pooling is per channel, so the stack pools as one map of N*C channels.
+    # Pooling is per channel, so a stack pools as one map of N*C channels.
     # One strided view per window offset, in flat-offset order.
-    xs = xb.reshape(n * c, h, w)
+    xs = x.reshape(-1, h, w)
     xpad = pad2d(xs, padding, np.float32(-np.inf))
     views = [xpad[:, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride]
              for di in range(k) for dj in range(k)]
@@ -285,47 +283,44 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
         found |= hit
 
     offsets = (np.arange(k, dtype=np.int64)[:, None] * w + np.arange(k)).ravel()
-    corner = (np.arange(n * c, dtype=np.int64)[:, None, None] * (h * w)
+    corner = (np.arange(len(xs), dtype=np.int64)[:, None, None] * (h * w)
               + (np.arange(out_h, dtype=np.int64) * stride - padding)[:, None] * w
               + (np.arange(out_w, dtype=np.int64) * stride - padding))
     indices = corner + np.take(offsets, win)
     # Read the winners back so a tie between -0.0 and +0.0 keeps the winner's sign.
-    pooled = np.take(xs, indices).reshape(n, c, out_h, out_w)
-    # Offsets into each image's own map, not into the stack.
-    indices = indices.reshape(n, c, out_h, out_w)
-    indices -= (np.arange(n, dtype=np.int64) * (c * h * w))[:, None, None, None]
-    return (pooled, indices) if batched else (pooled[0], indices[0])
+    shape = x.shape[:-2] + (out_h, out_w)
+    pooled = np.take(xs, indices).reshape(shape)
+    indices %= c * h * w  # offsets into each image's own map, not into the stack
+    return pooled, indices.reshape(shape)
 
 
 def gap_forward(x) -> np.ndarray:
     """Global average pooling: per-channel spatial mean."""
-    xb, batched = _as_batch(x, 3, "gap", "C x H x W")
-    y = xb.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
-    return y if batched else y[0]
+    x = _as_item_or_stack(x, 3, "gap", "C x H x W")
+    return x.mean(axis=(-2, -1), dtype=np.float64).astype(np.float32)
 
 
 def fc_forward(x, weight, bias=None) -> np.ndarray:
     """Affine map: weight (E x D) @ x (D) + bias (E), per row of an N x D x.
     It runs as the 1x1 conv of an E x D x 1 x 1 filter bank on x as a D x 1 x 1
     map, so every row gets the conv's one matrix-vector product."""
-    xb, batched = _as_batch(x, 1, "fc", "D")
+    x = _as_item_or_stack(x, 1, "fc", "D")
     weight = _as_f32(weight)
     if weight.ndim != 2:
         raise ShapeMismatch(f"fc weight must be rank 2, got rank {weight.ndim}")
     e, d = weight.shape
-    if d != xb.shape[1]:
-        raise ShapeMismatch(f"fc weight expects {d} inputs, input has {xb.shape[1]}")
+    if d != x.shape[-1]:
+        raise ShapeMismatch(f"fc weight expects {d} inputs, input has {x.shape[-1]}")
     if bias is not None and np.shape(bias) != (e,):
         raise ShapeMismatch(f"fc bias must have {e} entries, got shape {np.shape(bias)}")
-    y = conv2d_forward(xb[:, :, None, None], weight[:, :, None, None], bias)[:, :, 0, 0]
-    return y if batched else y[0]
+    return conv2d_forward(x[..., None, None], weight[:, :, None, None], bias)[..., 0, 0]
 
 
 def bn_forward(x, gamma, beta, mean, var, eps: float) -> np.ndarray:
     """Per-channel batch-norm transform (x - mean) / sqrt(var + eps) * gamma + beta."""
-    xb, batched = _as_batch(x, 3, "bn", "C x H x W")
+    x = _as_item_or_stack(x, 3, "bn", "C x H x W")
     gamma, beta, mean, var = (_as_f32(t) for t in (gamma, beta, mean, var))
-    c = xb.shape[1]
+    c = x.shape[-3]
     for name, t in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if t.shape != (c,):
             raise ShapeMismatch(f"bn {name} must have {c} entries, got shape {t.shape}")
@@ -334,10 +329,10 @@ def bn_forward(x, gamma, beta, mean, var, eps: float) -> np.ndarray:
     if eps < 0 or not np.all(var + np.float32(eps) > 0):
         raise ValueError("bn requires var + eps > 0")
     scale = (gamma / np.sqrt(var + np.float32(eps)))[:, None, None]
-    y = xb - mean[:, None, None]
+    y = x - mean[:, None, None]
     y *= scale
     y += beta[:, None, None]
-    return y if batched else y[0]
+    return y
 
 
 def relu_forward(x) -> np.ndarray:
@@ -347,8 +342,6 @@ def relu_forward(x) -> np.ndarray:
 
 def softmax(x) -> np.ndarray:
     """Max-stabilized softmax over a logit vector, or over each row of N x E logits."""
-    xb, batched = _as_batch(x, 1, "softmax", "E")
-    z = xb.astype(np.float64)
-    z = np.exp(z - z.max(axis=1, keepdims=True))
-    y = (z / z.sum(axis=1, keepdims=True)).astype(np.float32)
-    return y if batched else y[0]
+    z = _as_item_or_stack(x, 1, "softmax", "E").astype(np.float64)
+    z = np.exp(z - z.max(axis=-1, keepdims=True))
+    return (z / z.sum(axis=-1, keepdims=True)).astype(np.float32)

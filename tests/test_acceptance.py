@@ -229,7 +229,7 @@ def test_criterion_6_insertion_deletion_machinery():
     graph = generate_toy_resnet(7, channels=4, blocks=2, num_classes=5, input_hw=4)
     sample = toy_sample(graph, seed=99, hw=4)
     amap = lrp.AttributionMap(raw=np.random.default_rng(1).normal(size=(4, 4)),
-                              quantized=None, quantize_mode="off", bins=8)
+                              quantized=None)
     ranking = ev.rank_pixels(amap)
 
     comp_ok = all(

@@ -82,7 +82,7 @@ def float64_block(bt: BlockTrace) -> BlockTrace:
             weight=None if nt.weight is None else nt.weight.astype(np.float64))
     return dataclasses.replace(
         bt, main=[node(nt) for nt in bt.main],
-        skip=None if bt.skip is None else [node(nt) for nt in bt.skip],
+        skip=[node(nt) for nt in bt.skip],
         h_s=bt.h_s.astype(np.float64), h_m=bt.h_m.astype(np.float64))
 
 
@@ -145,7 +145,7 @@ class TestArgumentsOnlyRead:
                             want_trace=True)
         bt = float64_block(trace.blocks[block])
         r = rnd(7).normal(size=bt.h_m.shape)
-        arrays = [r, bt.h_s, bt.h_m] + [a for nt in bt.main + (bt.skip or [])
+        arrays = [r, bt.h_s, bt.h_m] + [a for nt in bt.main + bt.skip
                                        for a in (nt.x, nt.weight) if a is not None]
         check = ReadOnlyCheck(*arrays)
         config = lrp.RuleConfig(splitting=splitting, include_identity=include_identity)
@@ -237,7 +237,7 @@ class TestSlimTrace:
         trace = run_forward(graph, make_sample(graph, seed=14).normalized,
                             want_trace=True)
         nodes = trace.stem + trace.head + [nt for bt in trace.blocks
-                                           for nt in bt.main + (bt.skip or [])]
+                                           for nt in bt.main + bt.skip]
         kinds = {nt.spec.kind for nt in nodes}
         assert kinds == {"conv", "bn", "relu", "maxpool", "gap", "fc", "softmax"}
         for nt in nodes:

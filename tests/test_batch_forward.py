@@ -37,6 +37,21 @@ def pooled_manifest(tmp_path):
     return load_model(save_model(dataclasses.replace(graph, stem=stem), tmp_path / "model"))
 
 
+# Each forward kernel: (per-item input rank, per-item output rank, call).
+KERNELS = {
+    "conv": (3, 3, lambda x: ops.conv2d_forward(x, np.ones((3, 4, 3, 3)), np.ones(3), 2, 1)),
+    "maxpool": (3, 3, lambda x: ops.maxpool_forward(x, 3, 2, 1)),
+    "gap": (3, 1, ops.gap_forward),
+    "bn": (3, 3, lambda x: ops.bn_forward(x, *np.ones((4, 4)), 1e-5)),
+    "fc": (1, 1, lambda x: ops.fc_forward(x, np.ones((3, 4)), np.ones(3))),
+    "softmax": (1, 1, ops.softmax),
+}
+
+
+def as_tuple(result) -> tuple:
+    return result if isinstance(result, tuple) else (result,)
+
+
 @pytest.fixture(params=["toy", "pooled"])
 def graph_hw(request, tmp_path):
     """The toy model (first block has a projection skip) at 8 px, and a saved
@@ -84,6 +99,22 @@ class TestStackEqualsSingle:
         run_forward(graph, stack(hw, 2, seed=4))
         assert set(ranks) == {4}
 
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_kernel_rank_rule(self, kernel):
+        # One item of the kernel's rank r or a stack of them (rank r + 1) runs,
+        # giving one result or a stack whose rows are the single results;
+        # ranks r - 1 and r + 2 fail.
+        rank, out_rank, run = KERNELS[kernel]
+        items = np.random.default_rng(6).normal(size=(2, 4, 5, 5)[:rank + 1])
+        for bad in (items[0][0], items[None]):
+            with pytest.raises(ops.ShapeMismatch, match=f"or N x .*, got rank {bad.ndim}$"):
+                run(bad)
+        stacked = as_tuple(run(items))
+        for i, item in enumerate(items):
+            for single, rows in zip(as_tuple(run(item)), stacked, strict=True):
+                assert single.ndim == out_rank and rows.shape == (2,) + single.shape
+                assert rows.dtype == single.dtype and rows[i].tobytes() == single.tobytes()
+
     def test_trace_probs_equal_stack_row(self, graph_hw):
         graph, hw = graph_hw
         x = stack(hw, 3, seed=5)
@@ -107,7 +138,7 @@ class TestChunkedCurves:
         graph, hw = graph_hw
         sample = make_sample(graph, seed=11, hw=hw)
         amap = lrp.AttributionMap(raw=np.random.default_rng(2).normal(size=(hw, hw)),
-                                  quantized=None, quantize_mode="off", bins=8)
+                                  quantized=None)
         budget = ev.forward_bytes(graph, hw, hw) * (10**6 if chunk == "all" else chunk)
         monkeypatch.setattr(ev, "CHUNK_BYTES", budget)
         sizes = []
@@ -139,7 +170,7 @@ class TestChunkedCurves:
         graph = generate_toy_resnet(1, channels=2, blocks=1, num_classes=3, input_hw=hw)
         sample = make_sample(graph, seed=4, hw=hw)
         amap = lrp.AttributionMap(raw=np.random.default_rng(4).normal(size=(hw, hw)),
-                                  quantized=None, quantize_mode="off", bins=8)
+                                  quantized=None)
         seen = []
 
         def recording(graph_, x):
@@ -161,8 +192,7 @@ class TestChunkedCurves:
         graph = dataclasses.replace(graph, tensors=head)
         sample = ImageSample(raw=np.zeros((3, 4, 4), np.float32),
                              normalized=np.ones((3, 4, 4), np.float32), path="<ones>")
-        amap = lrp.AttributionMap(raw=np.zeros((4, 4)), quantized=None,
-                                  quantize_mode="off", bins=8)
+        amap = lrp.AttributionMap(raw=np.zeros((4, 4)), quantized=None)
         assert ev.curves(graph, sample, amap, None, 4)[0] == 1
 
 

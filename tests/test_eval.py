@@ -11,10 +11,7 @@ from conftest import make_sample, zero_weight_copy
 
 
 def amap_of(values, quantized=None):
-    return lrp.AttributionMap(raw=np.asarray(values, dtype=np.float64),
-                              quantized=quantized,
-                              quantize_mode="off" if quantized is None else "binwidth",
-                              bins=8)
+    return lrp.AttributionMap(raw=np.asarray(values, dtype=np.float64), quantized=quantized)
 
 
 class TestRankPixels:

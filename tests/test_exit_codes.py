@@ -26,9 +26,12 @@ def image(tmp_path) -> str:
 
 
 def edited_manifest(tmp_path, edit) -> str:
+    """The saved default toy's manifest after ``edit(doc)``; an edit may return
+    {tensor name: values} to write over those tensors' files."""
     manifest = save_model(generate_toy_resnet(7), tmp_path / "model")
     doc = json.loads(manifest.read_text())
-    edit(doc)
+    for name, values in (edit(doc) or {}).items():
+        (manifest.parent / doc["tensors"][name]["file"]).write_bytes(values.tobytes())
     manifest.write_text(json.dumps(doc))
     return str(manifest)
 
@@ -46,6 +49,17 @@ def set_key(path, value):
         for key in path[:-1]:
             doc = doc[key]
         doc[path[-1]] = value
+    return edit
+
+
+def set_tensors(tensors):
+    """An edit that gives each named tensor new float32 values and their shape."""
+    tensors = {name: np.asarray(v, dtype="<f4") for name, v in tensors.items()}
+
+    def edit(doc):
+        for name, values in tensors.items():
+            doc["tensors"][name]["shape"] = list(values.shape)
+        return tensors
     return edit
 
 
@@ -244,7 +258,7 @@ CASES = {
     "graph_gap_after_gap": infer_with_manifest(
         insert_node("head", 1, {"kind": "gap"}), "head[1]: gap after gap"),
     "graph_fc_without_gap": infer_with_manifest(
-        lambda doc: doc["head"].pop(0), "head[0]: fc requires a rank-1 input"),
+        drop_key(["head", 0]), "head[0]: fc requires a rank-1 input"),
     "graph_class_count_mismatch": infer_with_manifest(
         set_key(["num_classes"], 4), "head produces 5 classes, manifest declares 4"),
     "graph_conv_channel_mismatch": infer_with_manifest(
@@ -253,6 +267,28 @@ CASES = {
     "graph_bias_length": infer_with_manifest(
         set_key(["head", 1, "bias"], "stem.bn.gamma"),
         "head[1]: fc bias stem.bn.gamma must have 5 entries"),
+    "graph_conv_weight_rank_3": infer_with_manifest(
+        set_tensors({"stem.conv.w": np.ones((4, 3, 9))}),
+        "stem[0]: conv weight stem.conv.w must be C_out x C_in x k x k"),
+    "graph_conv_weight_not_square": infer_with_manifest(
+        set_tensors({"stem.conv.w": np.ones((4, 3, 3, 1))}),
+        "stem[0]: conv weight stem.conv.w must be C_out x C_in x k x k"),
+    "graph_fc_weight_rank_1": infer_with_manifest(
+        set_tensors({"head.fc.w": np.ones(20)}), "head[1]: fc weight must be rank 2"),
+    "graph_bn_negative_variance": infer_with_manifest(
+        set_tensors({"block1.main.bn1.var": [1.0, -1.0]}),
+        "blocks[0].main[1]: bn variance has negative entries"),
+    "graph_identity_skip_channels": infer_with_manifest(
+        set_tensors({"block2.main.conv3.w": np.ones((8, 2, 1, 1)),
+                     **{f"block2.main.bn3.{t}": np.ones(8)
+                        for t in ("gamma", "beta", "mean", "var")}}),
+        "blocks[1]: main path outputs 8 channels but skip outputs 4"),
+    "graph_identity_skip_stride": infer_with_manifest(
+        set_key(["blocks", 1, "main", 3, "stride"], 2),
+        "blocks[1]: main stride product 2 != skip stride 1"),
+    "forward_identity_skip_extent": infer_with_manifest(
+        set_key(["blocks", 1, "main", 3, "padding"], 0),
+        "blocks[1]: skip output (4, 4, 4) does not match main output (4, 2, 2)"),
     "graph_bn_parameter_length": infer_with_manifest(
         set_key(["stem", 1, "gamma"], "head.fc.b"), "stem[1]: bn gamma must have 4 entries"),
     "ppm_truncated_header": infer_on_ppm(b"P6\n8 8\n", "in.ppm: truncated PPM header"),

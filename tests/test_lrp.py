@@ -380,8 +380,7 @@ class TestPropagateBottleneck:
             "fc.w": np.ones((2, 3), dtype=np.float32),
         }
         block_spec = BottleneckSpec(
-            main=(NodeSpec("conv", weight="b.conv.w", stride=1, padding=1),),
-            skip=None)
+            main=(NodeSpec("conv", weight="b.conv.w", stride=1, padding=1),))
         zgraph = ModelGraph(preprocess=Preprocess((0.0,) * 3, (1.0,) * 3),
                             stem=(), blocks=(block_spec,),
                             head=(NodeSpec("gap"), NodeSpec("fc", weight="fc.w"),

@@ -266,9 +266,9 @@ class TestPpm:
 
 
 class TestWriteAttribution:
-    def _map(self, values, quantized=None, mode="off", bins=8):
+    def _map(self, values, quantized=None):
         return lrp.AttributionMap(raw=np.asarray(values, dtype=np.float64),
-                                  quantized=quantized, quantize_mode=mode, bins=bins)
+                                  quantized=quantized)
 
     def test_single_value(self, tmp_path):
         write_attribution(self._map([[0.5]]), tmp_path / "m")
@@ -284,7 +284,7 @@ class TestWriteAttribution:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(8, 8))
         q = lrp.heat_quantize(raw, bins=8, mode="binwidth")
-        write_attribution(self._map(raw, quantized=q, mode="binwidth"), tmp_path / "m")
+        write_attribution(self._map(raw, quantized=q), tmp_path / "m")
         body = (tmp_path / "m.pgm").read_bytes().split(b"\n255\n", 1)[1]
         assert len(set(body)) <= 8
 

@@ -1,9 +1,11 @@
 """The per-thread conv workspace: one per thread, reused across calls, never
 shared between threads, freed with its pool thread, and invisible in every
-result, whatever stale values its buffers hold."""
+result, whatever stale values its buffers hold; and a steady-state explain
+that takes almost no fresh memory."""
 
 import gc
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -41,7 +43,7 @@ def trace_arrays(trace):
         yield f"blocks[{b}].h_s", bt.h_s
         yield f"blocks[{b}].h_m", bt.h_m
         nodes += [(f"blocks[{b}].main[{i}]", nt) for i, nt in enumerate(bt.main)]
-        nodes += [(f"blocks[{b}].skip[{i}]", nt) for i, nt in enumerate(bt.skip or [])]
+        nodes += [(f"blocks[{b}].skip[{i}]", nt) for i, nt in enumerate(bt.skip)]
     for loc, nt in nodes:
         for field in ("x", "weight", "pool_indices"):
             if getattr(nt, field) is not None:
@@ -111,9 +113,6 @@ class TestPerThread:
         assert ops.workspace() is work
         assert all(a is b for a, b in zip(buffers(work), before, strict=True))
 
-    def test_lrp_workspace_is_the_ops_class(self):
-        assert lrp.Workspace is ops.Workspace
-
     def test_threads_never_share_a_workspace(self):
         graph = generate_toy_resnet(27, channels=8, blocks=2, num_classes=5, input_hw=16)
         sample = make_sample(graph, seed=28, hw=16)
@@ -161,6 +160,48 @@ class TestPerThread:
         refs = cli._map_jobs(job, list(range(4)), threads=2)
         gc.collect()
         assert len(refs) == 4 and all(ref() is None for ref in refs)
+
+
+# Minor page faults per steady-state explain, under a fixed glibc policy:
+# every block of 128 KiB or more is mapped fresh and unmapped on free, and
+# the heap top is never trimmed. glibc's own adaptive thresholds move with
+# the heap layout, so without this the count of the same code flips between
+# about 1 and about 100 from one interpreter setup to the next.
+FAULTS_PER_EXPLAIN = """
+import ctypes
+import resource
+import numpy as np
+from relprop import lrp
+from relprop.image import ImageSample, normalize
+from relprop.model import generate_toy_resnet
+
+libc = ctypes.CDLL(None)
+libc.mallopt(-3, 128 * 1024)    # M_MMAP_THRESHOLD
+libc.mallopt(-1, 1 << 30)       # M_TRIM_THRESHOLD
+graph = generate_toy_resnet(7, 32, 4, 10, 32)
+raw = np.random.default_rng(8).integers(0, 256, size=(3, 32, 32)).astype(np.float32)
+sample = ImageSample(raw=raw, normalized=normalize(raw, graph.preprocess), path="")
+for _ in range(3):
+    lrp.explain(graph, sample)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    lrp.explain(graph, sample)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under a glibc malloc policy")
+def test_steady_state_explain_takes_few_page_faults():
+    # A fresh interpreter, so the rest of the suite's heap stays out of the
+    # count. It reads about 1. One fresh 128 KiB array per call costs 32
+    # faults: a new z array per lrp_conv reads about 66.
+    src = str(Path(relprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_EXPLAIN], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert float(out) < 32
 
 
 class TestStaleBuffers:
