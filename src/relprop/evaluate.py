@@ -107,9 +107,9 @@ def perturb(sample: ImageSample, ranking: np.ndarray, n: int, mode: str) -> np.n
 
 
 def _step_counts(total: int, steps: int) -> list[int]:
-    ns = {int(np.floor(t * total / steps + 0.5)) for t in range(steps + 1)}
-    ns.update((0, total))
-    return sorted(ns)
+    """Distinct pixel counts of steps 0..steps, ascending; from ``total`` steps on, 0..total."""
+    steps = min(steps, total)
+    return sorted({int(np.floor(t * total / steps + 0.5)) for t in range(steps + 1)})
 
 
 def trapezoid_auc(fractions: np.ndarray, probabilities: np.ndarray) -> float:

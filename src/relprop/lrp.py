@@ -170,9 +170,11 @@ def _ratio(r: np.ndarray, z: np.ndarray, rule: str,
 def lrp_linear(h, weight, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
     """Backward relevance through an affine layer (bias absorbs nothing): the
     1x1 conv case on a 1x1 map."""
-    if np.ndim(weight) != 2 or np.ndim(h) != 1 or np.ndim(r_out) != 1:
-        raise ops.ShapeMismatch("lrp_linear expects weight (E x D), h (D), r_out (E)")
-    r_in = lrp_conv(np.reshape(h, (-1, 1, 1)), np.reshape(weight, np.shape(weight) + (1, 1)),
+    weight = np.asarray(weight)
+    if np.ndim(h) != 1 or np.ndim(r_out) != 1:
+        raise ops.ShapeMismatch("lrp_linear expects h (D) and r_out (E)")
+    ops.check_linear("fc", weight, None, np.shape(h)[0])
+    r_in = lrp_conv(np.reshape(h, (-1, 1, 1)), weight[:, :, None, None],
                     1, 0, np.reshape(r_out, (-1, 1, 1)), rule, epsilon)
     return r_in.reshape(-1)
 
@@ -189,14 +191,11 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
     x = np.asarray(x)
     weight = _as64(weight)
     r_out = _as64(r_out)
-    if x.ndim != 3 or weight.ndim != 4:
-        raise ops.ShapeMismatch("lrp_conv expects x (C x H x W) and weight rank 4")
-    c_out, c_in, k, kw = weight.shape
-    if k != kw or c_in != x.shape[0]:
-        raise ops.ShapeMismatch(
-            f"lrp_conv weight {weight.shape} inconsistent with input {x.shape}")
-    out_h = ops.conv_output_extent(x.shape[1], k, stride, padding, "height")
-    out_w = ops.conv_output_extent(x.shape[2], k, stride, padding, "width")
+    if x.ndim != 3:
+        raise ops.ShapeMismatch(f"lrp_conv expects x (C x H x W), got rank {x.ndim}")
+    c_out = ops.check_linear("conv", weight, None, x.shape[0])
+    k = weight.shape[-1]
+    out_h, out_w = ops.check_window("conv", k, stride, padding, x.shape[1:])
     if r_out.shape != (c_out, out_h, out_w):
         raise ops.ShapeMismatch(
             f"lrp_conv r_out shape {r_out.shape} != expected {(c_out, out_h, out_w)}")
@@ -428,12 +427,13 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     state = RelevanceState(current=r, class_index=class_index)
     state.record(CHECKPOINT_SEED, r)
 
-    # The seed is the softmax output, the head's last node (validate_graph
-    # allows a softmax nowhere else).
+    # The seed is the softmax output, the head's last node (validate_graph allows no
+    # other). Head and block traces are freed once relevance has passed them.
     r = path_backward(trace.head[:-1], r, config.rule_at(len(trace.blocks)),
                       config.epsilon)
+    trace.head.clear()
     for b in range(len(trace.blocks) - 1, -1, -1):
-        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_at(b))
+        r = propagate_bottleneck(trace.blocks.pop(), r, config, config.rule_at(b))
         state.record(block_input_label(b + 1), r)
     r = path_backward(trace.stem, r, config.rule_at(-1), config.epsilon)
     state.record(CHECKPOINT_INPUT, r)

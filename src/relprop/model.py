@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ops
+
 # Each node kind's manifest fields, in manifest order. Tensor fields hold a
 # tensor name ("bias" may be null or absent), "eps" a number, the rest integers.
 NODE_FIELDS = {
@@ -207,44 +209,25 @@ def node_location(segment: str, index: int, block: int | None = None) -> str:
 
 
 def _check_node(graph: ModelGraph, node: NodeSpec, channels: int, where: str) -> int:
-    """Check one node against the channel count it receives; returns the
-    channel count it outputs."""
-    kind = node.kind
-    for name in TENSOR_FIELDS:
-        ref = getattr(node, name)
-        if ref is not None and ref not in graph.tensors:
-            raise DanglingTensorNameError(f"{where}: unresolved tensor {ref}")
-    if kind in ("conv", "fc"):
-        w = graph.tensors[node.weight]
-        if kind == "conv" and (w.ndim != 4 or w.shape[2] != w.shape[3]):
-            raise GraphValidationError(f"{where}: conv weight {node.weight} must be "
-                                       f"C_out x C_in x k x k, got {w.shape}")
-        if kind == "fc" and w.ndim != 2:
-            raise GraphValidationError(f"{where}: fc weight must be rank 2, got {w.shape}")
-        if w.shape[1] != channels:
-            raise GraphValidationError(f"{where}: {kind} expects {w.shape[1]} input "
-                                       f"channels but receives {channels}")
-        bias = None if node.bias is None else graph.tensors[node.bias]
-        if bias is not None and bias.shape != (w.shape[0],):
-            raise GraphValidationError(f"{where}: {kind} bias {node.bias} must have "
-                                       f"{w.shape[0]} entries, got {bias.shape}")
-        if node.stride < 1 or node.padding < 0:
-            raise GraphValidationError(f"{where}: invalid stride/padding")
-        return int(w.shape[0])
-    if kind == "bn":
-        for attr in ("gamma", "beta", "mean", "var"):
-            t = graph.tensors[getattr(node, attr)]
-            if t.shape != (channels,):
-                raise GraphValidationError(f"{where}: bn {attr} must have {channels} "
-                                           f"entries, got {t.shape}")
-        if (graph.tensors[node.var] < 0).any():
-            raise GraphValidationError(f"{where}: bn variance has negative entries")
-    elif kind == "maxpool":
-        if node.k < 1 or node.stride < 1 or node.padding < 0:
-            raise GraphValidationError(f"{where}: invalid maxpool hyperparameters")
-        if node.padding >= node.k:
-            raise GraphValidationError(f"{where}: maxpool window lies entirely in padding "
-                                       f"(padding {node.padding} >= k {node.k})")
+    """Check one node against the channel count it receives by its kernel's
+    contract in :mod:`relprop.ops`; returns the channel count it outputs."""
+    t = graph.tensors
+    try:
+        if node.kind in ("conv", "fc"):
+            weight, bias = t[node.weight], None if node.bias is None else t[node.bias]
+            channels = ops.check_linear(node.kind, weight, bias, channels,
+                                        (f"weight {node.weight}", f"bias {node.bias}"))
+            if node.kind == "conv":
+                ops.check_window("conv", weight.shape[-1], node.stride, node.padding)
+        elif node.kind == "bn":
+            ops.check_bn(channels, t[node.gamma], t[node.beta], t[node.mean], t[node.var],
+                         node.eps)
+        elif node.kind == "maxpool":
+            ops.check_window("maxpool", node.k, node.stride, node.padding)
+    except KeyError as exc:
+        raise DanglingTensorNameError(f"{where}: unresolved tensor {exc.args[0]}") from None
+    except (ValueError, FloatingPointError) as exc:
+        raise GraphValidationError(f"{where}: {exc}") from exc
     return channels
 
 
@@ -382,7 +365,8 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
 
     graph = ModelGraph(preprocess=preprocess, stem=stem, blocks=blocks, head=head,
                        num_classes=num_classes, tensors=tensors)
-    validate_graph(graph)
+    with np.errstate(over="raise"):  # as in run_forward: a BN eps past float32 fails
+        validate_graph(graph)
     return graph
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "bn_forward",
     "relu_forward",
     "softmax",
-    "conv_output_extent",
 ]
 
 
@@ -74,19 +73,63 @@ def _as_item_or_stack(x, rank: int, what: str, shape: str) -> np.ndarray:
     return _as_f32(x)
 
 
-def conv_output_extent(extent: int, k: int, stride: int, padding: int, axis: str) -> int:
-    """Output extent of a conv/pool window sweep; the division must be exact."""
+# Each layer's operand rules, written once: the kernels, ``lrp_conv``, ``lrp_linear``
+# and ``validate_graph`` all check with them, so load and kernels word a failure alike.
+
+def check_linear(kind: str, weight: np.ndarray, bias: np.ndarray | None, channels: int,
+                 names: tuple[str, str] = ("weight", "bias")) -> int:
+    """Check a conv (C_out x C_in x k x k, square) or fc (E x D) weight and its
+    bias against the ``channels`` the layer receives; returns its output
+    channel count. ``names`` label the two tensors in a message."""
+    wname, bname = names
+    if kind == "conv" and (weight.ndim != 4 or weight.shape[2] != weight.shape[3]):
+        raise ShapeMismatch(f"conv {wname} must be C_out x C_in x k x k, "
+                            f"got shape {weight.shape}")
+    if kind == "fc" and weight.ndim != 2:
+        raise ShapeMismatch(f"fc {wname} must be rank 2, got shape {weight.shape}")
+    c_out, c_in = weight.shape[:2]
+    if c_in != channels:
+        unit = "input channels" if kind == "conv" else "inputs"
+        raise ShapeMismatch(f"{kind} expects {c_in} {unit} but receives {channels}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeMismatch(f"{kind} {bname} must have {c_out} entries, "
+                            f"got shape {bias.shape}")
+    return c_out
+
+
+def check_bn(channels: int, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+             var: np.ndarray, eps: float) -> None:
+    """Check batch-norm parameters: one entry per channel each, no negative
+    variance, and var + eps > 0 in float32 on every channel, which the least
+    variance decides, since float32 addition is monotonic."""
+    for name, t in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
+        if t.shape != (channels,):
+            raise ShapeMismatch(f"bn {name} must have {channels} entries, got shape {t.shape}")
+    low = var.min(initial=np.inf)
+    if low < 0:
+        raise ValueError("bn variance must be non-negative")
+    if not (eps >= 0 and low + np.float32(eps) > 0):
+        raise ValueError("bn requires var + eps > 0")
+
+
+def check_window(kind: str, k: int, stride: int, padding: int,
+                 hw: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """Check a conv or max-pool window (k and stride >= 1, padding >= 0, and
+    for a max-pool padding < k, or its corner window holds no input cell);
+    returns its output extent over each extent in ``hw``, which must be exact."""
     if k < 1 or stride < 1 or padding < 0:
-        raise ShapeMismatch(
-            f"invalid window hyperparameters on {axis}: k={k} stride={stride} padding={padding}"
-        )
-    span = extent + 2 * padding - k
-    if span < 0 or span % stride != 0:
-        raise ShapeMismatch(
-            f"non-integral output {axis}: ({extent} + 2*{padding} - {k}) not a "
-            f"non-negative multiple of stride {stride}"
-        )
-    return span // stride + 1
+        raise ShapeMismatch(f"invalid {kind} hyperparameters: k={k} stride={stride} "
+                            f"padding={padding}")
+    if kind == "maxpool" and padding >= k:
+        raise ShapeMismatch("maxpool window lies entirely in padding")
+    out = ()
+    for extent, axis in zip(hw, ("height", "width")):
+        span = extent + 2 * padding - k
+        if span < 0 or span % stride != 0:
+            raise ShapeMismatch(f"non-integral output {axis}: ({extent} + 2*{padding} - {k}) "
+                                f"not a non-negative multiple of stride {stride}")
+        out += (span // stride + 1,)
+    return out
 
 
 def pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
@@ -212,28 +255,15 @@ def conv2d_forward(x, weight, bias=None, stride: int = 1, padding: int = 0) -> n
     """2-D cross-correlation of a (N x) C_in x H x W map with C_out x C_in x k x k filters."""
     x = _as_item_or_stack(x, 3, "conv", "C x H x W")
     weight = _as_f32(weight)
-    if weight.ndim != 4:
-        raise ShapeMismatch(f"conv weight must be C_out x C_in x k x k, got rank {weight.ndim}")
-    c_out, c_in, kh, kw = weight.shape
-    if kh != kw:
-        raise ShapeMismatch(f"conv kernel must be square, got {kh} x {kw}")
-    c, h, w = x.shape[-3:]
-    if c_in != c:
-        raise ShapeMismatch(
-            f"conv weight expects {c_in} input channels, input has {c}"
-        )
-    out_h = conv_output_extent(h, kh, stride, padding, "height")
-    out_w = conv_output_extent(w, kw, stride, padding, "width")
+    bias = None if bias is None else _as_f32(bias)
+    c_out = check_linear("conv", weight, bias, x.shape[-3])
+    k = weight.shape[-1]
+    out_h, out_w = check_window("conv", k, stride, padding, x.shape[-2:])
 
-    cols = workspace().columns(x, kh, stride, padding, out_h, out_w)
+    cols = workspace().columns(x, k, stride, padding, out_h, out_w)
     # One GEMM per image, broadcast over the batch axis by matmul.
     y = weight.reshape(c_out, -1).astype(np.float64) @ cols
     if bias is not None:
-        bias = _as_f32(bias)
-        if bias.shape != (c_out,):
-            raise ShapeMismatch(
-                f"conv bias must have {c_out} entries, got shape {bias.shape}"
-            )
         y += bias.astype(np.float64)[:, None]
     return y.reshape(x.shape[:-3] + (c_out, out_h, out_w)).astype(np.float32)
 
@@ -250,10 +280,7 @@ def maxpool_forward(x, k: int, stride: int, padding: int = 0) -> tuple[np.ndarra
     """
     x = _as_item_or_stack(x, 3, "maxpool", "C x H x W")
     c, h, w = x.shape[-3:]
-    out_h = conv_output_extent(h, k, stride, padding, "height")
-    out_w = conv_output_extent(w, k, stride, padding, "width")
-    if padding >= k:  # then the first window holds no input cell
-        raise ValueError("maxpool window lies entirely in padding")
+    out_h, out_w = check_window("maxpool", k, stride, padding, (h, w))
 
     # Pooling is per channel, so a stack pools as one map of N*C channels.
     # One strided view per window offset, in flat-offset order.
@@ -306,13 +333,8 @@ def fc_forward(x, weight, bias=None) -> np.ndarray:
     map, so every row gets the conv's one matrix-vector product."""
     x = _as_item_or_stack(x, 1, "fc", "D")
     weight = _as_f32(weight)
-    if weight.ndim != 2:
-        raise ShapeMismatch(f"fc weight must be rank 2, got rank {weight.ndim}")
-    e, d = weight.shape
-    if d != x.shape[-1]:
-        raise ShapeMismatch(f"fc weight expects {d} inputs, input has {x.shape[-1]}")
-    if bias is not None and np.shape(bias) != (e,):
-        raise ShapeMismatch(f"fc bias must have {e} entries, got shape {np.shape(bias)}")
+    bias = None if bias is None else _as_f32(bias)
+    check_linear("fc", weight, bias, x.shape[-1])
     return conv2d_forward(x[..., None, None], weight[:, :, None, None], bias)[..., 0, 0]
 
 
@@ -320,14 +342,7 @@ def bn_forward(x, gamma, beta, mean, var, eps: float) -> np.ndarray:
     """Per-channel batch-norm transform (x - mean) / sqrt(var + eps) * gamma + beta."""
     x = _as_item_or_stack(x, 3, "bn", "C x H x W")
     gamma, beta, mean, var = (_as_f32(t) for t in (gamma, beta, mean, var))
-    c = x.shape[-3]
-    for name, t in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        if t.shape != (c,):
-            raise ShapeMismatch(f"bn {name} must have {c} entries, got shape {t.shape}")
-    if (var < 0).any():
-        raise ValueError("bn variance must be non-negative")
-    if eps < 0 or not np.all(var + np.float32(eps) > 0):
-        raise ValueError("bn requires var + eps > 0")
+    check_bn(x.shape[-3], gamma, beta, mean, var, eps)
     scale = (gamma / np.sqrt(var + np.float32(eps)))[:, None, None]
     y = x - mean[:, None, None]
     y *= scale

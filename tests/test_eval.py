@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ class TestCurve:
         assert cur.fractions[0] == 0.0 and cur.fractions[-1] == 1.0
         assert np.all(np.diff(cur.fractions) > 0)
         assert np.all((cur.probabilities >= 0) & (cur.probabilities <= 1))
+
+    @pytest.mark.parametrize("total", range(1, 50))
+    def test_steps_past_the_pixel_count_change_no_count(self, total):
+        for steps in (2, total - 1, total, total + 1, 2 * total + 3, 7 * total):
+            if steps < 2:
+                continue
+            want = {int(np.floor(t * total / steps + 0.5)) for t in range(steps + 1)}
+            assert ev._step_counts(total, steps) == sorted(want | {0, total})
+
+    def test_huge_steps_take_no_time(self):
+        t0 = time.perf_counter()
+        assert ev._step_counts(64, 10**12) == ev._step_counts(64, 64) == list(range(65))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_steps_validation(self, toy_graph):
         sample = make_sample(toy_graph, seed=13)

@@ -63,6 +63,13 @@ def set_tensors(tensors):
     return edit
 
 
+def in_turn(*edits):
+    """One edit that makes each of ``edits`` in turn, writing every tensor they return."""
+    def edit(doc):
+        return {name: values for e in edits for name, values in (e(doc) or {}).items()}
+    return edit
+
+
 def explain(*extra):
     return lambda tmp_path: ["explain", "--model", "toy", "--seed", "7",
                              "--image", image(tmp_path), *extra,
@@ -250,7 +257,7 @@ CASES = {
         set_key(["tensors", "head.fc.b", "shape"], [1, 1, 1, 1, 5]),
         "tensor head.fc.b: shape [1, 1, 1, 1, 5] must be rank 1-4"),
     "graph_stride_zero": infer_with_manifest(
-        set_key(["stem", 0, "stride"], 0), "stem[0]: invalid stride/padding"),
+        set_key(["stem", 0, "stride"], 0), "stem[0]: invalid conv hyperparameters"),
     "graph_maxpool_in_block": infer_with_manifest(
         lambda doc: doc["blocks"][1]["main"].append(
             {"kind": "maxpool", "k": 1, "stride": 1, "padding": 0}),
@@ -274,10 +281,10 @@ CASES = {
         set_tensors({"stem.conv.w": np.ones((4, 3, 3, 1))}),
         "stem[0]: conv weight stem.conv.w must be C_out x C_in x k x k"),
     "graph_fc_weight_rank_1": infer_with_manifest(
-        set_tensors({"head.fc.w": np.ones(20)}), "head[1]: fc weight must be rank 2"),
+        set_tensors({"head.fc.w": np.ones(20)}), "head[1]: fc weight head.fc.w must be rank 2"),
     "graph_bn_negative_variance": infer_with_manifest(
         set_tensors({"block1.main.bn1.var": [1.0, -1.0]}),
-        "blocks[0].main[1]: bn variance has negative entries"),
+        "blocks[0].main[1]: bn variance must be non-negative"),
     "graph_identity_skip_channels": infer_with_manifest(
         set_tensors({"block2.main.conv3.w": np.ones((8, 2, 1, 1)),
                      **{f"block2.main.bn3.{t}": np.ones(8)
@@ -291,6 +298,16 @@ CASES = {
         "blocks[1]: skip output (4, 4, 4) does not match main output (4, 2, 2)"),
     "graph_bn_parameter_length": infer_with_manifest(
         set_key(["stem", 1, "gamma"], "head.fc.b"), "stem[1]: bn gamma must have 4 entries"),
+    "graph_bn_eps_negative": infer_with_manifest(
+        set_key(["stem", 1, "eps"], -1), "stem[1]: bn requires var + eps > 0"),
+    "graph_bn_eps_nan": infer_with_manifest(
+        set_key(["stem", 1, "eps"], float("nan")), "stem[1]: bn requires var + eps > 0"),
+    "graph_bn_eps_past_float32": infer_with_manifest(
+        set_key(["stem", 1, "eps"], 1e300), "stem[1]: overflow encountered in cast"),
+    "graph_bn_zero_variance_and_eps": infer_with_manifest(
+        in_turn(set_key(["blocks", 0, "skip", "bn", "eps"], 0),
+                set_tensors({"block1.skip.bn.var": np.zeros(4)})),
+        "blocks[0].skip.bn: bn requires var + eps > 0"),
     "ppm_truncated_header": infer_on_ppm(b"P6\n8 8\n", "in.ppm: truncated PPM header"),
     "ppm_non_numeric_field": infer_on_ppm(b"P6\n8 x\n255\n" + bytes(192),
                                           "in.ppm: non-numeric header field"),

@@ -134,6 +134,19 @@ class TestLoadModel:
         with pytest.raises(BadMagicError, match=r"stem\[1\]: eps must be a number"):
             load_model(manifest)
 
+    @pytest.mark.parametrize("eps,var", [(-1, 1.0), (float("nan"), 1.0), (0, 0.0)])
+    def test_bn_without_positive_var_plus_eps_fails_to_load(self, tmp_path, eps, var):
+        graph = generate_toy_resnet(3, channels=4, blocks=1, num_classes=3, input_hw=8)
+        manifest = save_model(graph, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["blocks"][0]["skip"]["bn"]["eps"] = eps
+        manifest.write_text(json.dumps(doc))
+        (tmp_path / doc["tensors"]["block1.skip.bn.var"]["file"]).write_bytes(
+            np.full(4, var, dtype="<f4").tobytes())
+        with pytest.raises(GraphValidationError,
+                           match=r"^blocks\[0\]\.skip\.bn: bn requires var \+ eps > 0$"):
+            load_model(manifest)
+
     def test_integer_eps_and_absent_bias_load(self, tmp_path):
         graph = generate_toy_resnet(3, channels=4, blocks=1, num_classes=3, input_hw=8)
         manifest = save_model(graph, tmp_path)
