@@ -225,14 +225,9 @@ def cmd_evaluate(job: JobConfig) -> int:
 
     per_image = []
     for path, (c, ins, dele) in zip(paths, results):
-        if len(paths) == 1:
-            ins_path, del_path = f"{job.out}.insertion.csv", f"{job.out}.deletion.csv"
-        else:
-            i = len(per_image)
-            ins_path = f"{job.out}.{i:04d}.insertion.csv"
-            del_path = f"{job.out}.{i:04d}.deletion.csv"
-        ev.write_curve_csv(ins_path, ins)
-        ev.write_curve_csv(del_path, dele)
+        prefix = job.out if len(paths) == 1 else f"{job.out}.{len(per_image):04d}"
+        ev.write_curve_csv(f"{prefix}.insertion.csv", ins)
+        ev.write_curve_csv(f"{prefix}.deletion.csv", dele)
         per_image.append({
             "image": str(path),
             "class": c,
@@ -268,15 +263,14 @@ def cmd_check_conservation(job: JobConfig) -> int:
 
     lines = ["image,checkpoint,sum_R,p_c,relative_deviation"]
     worst = 0.0
-    rows = 0
     for path, report in results:
         for row in report.rows:
             lines.append(",".join([
                 str(path), row.checkpoint, format_float(row.sum_relevance),
                 format_float(row.p_c), format_float(row.relative_deviation),
             ]))
-            rows += 1
         worst = max(worst, report.max_relative_deviation)
+    rows = len(lines) - 1
     out_path = Path(f"{job.out}.csv")
     out_path.write_text("\n".join(lines) + "\n", newline="\n")
     log.info("wrote %s (%d rows)", out_path, rows)

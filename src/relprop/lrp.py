@@ -26,12 +26,9 @@ the simplest strictly conserving completion.
 
 Bias terms feed the forward pass but absorb no relevance under either rule.
 
-Every conv backward pads, unrolls, multiplies and back-projects in the
-calling thread's :func:`relprop.ops.workspace`, the scratch its forward convs
-use too, so a steady-state explanation takes no fresh conv scratch. The
-buffers live as long as the thread; threads never share one, so concurrent
-explanations stay independent, and every relevance map returned is a fresh
-array.
+Conv and max-pool backward passes work in the calling thread's
+:func:`relprop.ops.workspace`, which threads never share; every relevance map
+:func:`explain` returns is a fresh array.
 """
 
 from __future__ import annotations
@@ -217,15 +214,19 @@ def lrp_conv(x, weight, stride: int, padding: int, r_out,
 
 
 def lrp_maxpool(indices: np.ndarray, r_out, input_shape) -> np.ndarray:
-    """Winner-take-all projection backward: scatter-add onto recorded winners."""
+    """Winner-take-all projection backward: scatter-add onto recorded winners,
+    in the calling thread's workspace pool buffer, which the next call reuses."""
     indices = np.asarray(indices)
     r_out = _as64(r_out)
     if indices.shape != r_out.shape:
         raise ops.ShapeMismatch(
             f"pool indices shape {indices.shape} != relevance shape {r_out.shape}")
-    r_in = np.zeros(int(np.prod(input_shape)), dtype=np.float64)
-    np.add.at(r_in, indices.ravel(), r_out.ravel())
-    return r_in.reshape(tuple(input_shape))
+    r_in = ops.workspace().buffer("pool", tuple(input_shape))
+    if np.may_share_memory(r_in, r_out):  # relevance from a max-pool right after this one
+        r_out = r_out.copy()
+    r_in.fill(0.0)
+    np.add.at(r_in.reshape(-1), indices.ravel(), r_out.ravel())
+    return r_in
 
 
 def lrp_gap(x, r_out, rule: str = "zplus", epsilon: float = 1e-6) -> np.ndarray:
@@ -427,15 +428,16 @@ def explain(graph: ModelGraph, sample: ImageSample, class_index: int | None = No
     state = RelevanceState(current=r, class_index=class_index)
     state.record(CHECKPOINT_SEED, r)
 
-    # The seed is the softmax output, the head's last node (validate_graph allows no
-    # other). Head and block traces are freed once relevance has passed them.
+    # The seed is the softmax output, the head's last node (validate_graph
+    # allows a softmax nowhere else).
     r = path_backward(trace.head[:-1], r, config.rule_at(len(trace.blocks)),
                       config.epsilon)
-    trace.head.clear()
     for b in range(len(trace.blocks) - 1, -1, -1):
-        r = propagate_bottleneck(trace.blocks.pop(), r, config, config.rule_at(b))
+        r = propagate_bottleneck(trace.blocks[b], r, config, config.rule_at(b))
         state.record(block_input_label(b + 1), r)
     r = path_backward(trace.stem, r, config.rule_at(-1), config.epsilon)
+    if ops.workspace().holds(r):  # a stem that opens with a max-pool
+        r = r.copy()
     state.record(CHECKPOINT_INPUT, r)
 
     raw = channel_sum(r)

@@ -247,6 +247,7 @@ def _check_path(graph: ModelGraph, nodes, channels: int, segment: str,
     return channels, stride
 
 
+@np.errstate(over="raise")  # as in run_forward: a BN eps past float32 fails
 def validate_graph(graph: ModelGraph) -> None:
     """Chain shapes through stem, blocks, and head; raise on any inconsistency."""
     channels, _ = _check_path(graph, graph.stem, 3, "stem",
@@ -365,8 +366,7 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
 
     graph = ModelGraph(preprocess=preprocess, stem=stem, blocks=blocks, head=head,
                        num_classes=num_classes, tensors=tensors)
-    with np.errstate(over="raise"):  # as in run_forward: a BN eps past float32 fails
-        validate_graph(graph)
+    validate_graph(graph)
     return graph
 
 

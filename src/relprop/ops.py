@@ -19,18 +19,16 @@ is not: BLAS may pick a different kernel for the wider product.)
 Convolution follows the deep-learning convention: cross-correlation with zero
 padding (no kernel flip).
 
-Conv scratch memory is per thread. :func:`workspace` returns the calling
-thread's :class:`Workspace`, made on its first conv and kept for the thread's
-life. ``conv2d_forward`` pads and unrolls its input in it, and
-``lrp.lrp_conv`` also keeps its shares and z there, so a steady-state run
-takes no fresh scratch memory from the allocator (which would hand it back to
-the OS between layers and fault it in again). It is safe because threads
-never share a workspace, within a thread each conv is done with the buffers
-before it returns, and nothing a conv returns (or a forward trace keeps) is a
-view of one. A pool thread's workspace is freed when the thread exits. On the
-64ch/8-block/64px toy it holds 7.0 MiB: padded input 0.5, columns 2.25,
-shares 2.25, z 2.0. A forward of a stack pads and unrolls all of it at
-once, so the padded and columns buffers keep the size of the largest stack
+Scratch memory is per thread: :func:`workspace` returns the calling thread's
+:class:`Workspace`, made on first use and freed with the thread. Convs pad and
+unroll their input in it, ``lrp.lrp_conv`` keeps its shares and z there, and
+``lrp.lrp_maxpool`` returns its relevance there, so a steady-state run takes
+no fresh memory from the allocator (which would hand it back to the OS between
+layers and fault it in again). Threads never share a workspace, and nothing a
+conv returns (or a forward trace keeps) is a view of one. On the
+64ch/8-block/64px toy it holds 9.0 MiB: padded input 0.5, columns 2.25,
+shares 2.25, z 2.0, pool 2.0. A forward of a stack pads and unrolls all of it
+at once, so the padded and columns buffers keep the size of the largest stack
 the thread has forwarded.
 """
 
@@ -105,7 +103,7 @@ def check_bn(channels: int, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarra
     for name, t in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if t.shape != (channels,):
             raise ShapeMismatch(f"bn {name} must have {channels} entries, got shape {t.shape}")
-    low = var.min(initial=np.inf)
+    low = np.float32(var.min(initial=np.inf))
     if low < 0:
         raise ValueError("bn variance must be non-negative")
     if not (eps >= 0 and low + np.float32(eps) > 0):
@@ -143,15 +141,19 @@ def pad2d(x: np.ndarray, padding: int, fill: float) -> np.ndarray:
 
 
 class Workspace:
-    """Float64 scratch for conv passes: the padded input and its unrolled
-    columns (forward and backward), and the back-projected shares and the z
-    share totals (backward). Each buffer grows to the largest layer it has
+    """Float64 scratch: a conv's padded input and its unrolled columns (forward
+    and backward), its back-projected shares and z share totals (backward), and
+    a max-pool backward's result. Each buffer grows to the largest layer it has
     served and is reused after that; its contents are dead once the call that
-    wrote them returns.
+    wrote them returns, the pool buffer's once the next max-pool backward runs.
     """
 
     def __init__(self):
-        self._bufs = dict.fromkeys(("padded", "cols", "shares", "z"), np.empty(0))
+        self._bufs = dict.fromkeys(("padded", "cols", "shares", "z", "pool"), np.empty(0))
+
+    def holds(self, a: np.ndarray) -> bool:
+        """Whether ``a`` may share memory with one of these buffers."""
+        return any(np.may_share_memory(a, buf) for buf in self._bufs.values())
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of the named buffer with the given shape,

@@ -71,3 +71,21 @@ def test_load_and_kernel_word_a_rule_alike(rule):
         if node.kind in ("conv", "fc") and name is not None:
             message = message.replace(f" {name} must", " must", 1)
     assert message == str(forward.value).replace(f"{where} ({node.kind}): ", f"{where}: ", 1)
+
+
+def test_validate_graph_rejects_an_eps_past_float32_for_every_caller():
+    # Not only load_model: the overflowing cast raises, and warns nowhere.
+    graph, _ = edited_toy(("stem", 1), {"eps": 1e300}, {})
+    with pytest.raises(GraphValidationError, match=r"^stem\[1\]: overflow encountered in cast$"):
+        validate_graph(graph)
+
+
+def test_a_float64_variance_is_judged_in_float32_as_the_kernel_judges_it():
+    # 1e-50 is positive in float64 but 0 in float32, where the kernel adds eps.
+    graph, _ = edited_toy(("stem", 1), {"eps": 0.0}, {})
+    graph = dataclasses.replace(graph, tensors={**graph.tensors, "stem.bn.var": np.full(4, 1e-50)})
+    with pytest.raises(GraphValidationError, match=r"^stem\[1\]: bn requires var \+ eps > 0$"):
+        validate_graph(graph)
+    with pytest.raises(GraphExecutionError,
+                       match=r"^stem\[1\] \(bn\): bn requires var \+ eps > 0$"):
+        run_forward(graph, np.zeros((3, 8, 8), np.float32))

@@ -273,6 +273,20 @@ class TestLrpMaxpool:
         r_in = lrp.lrp_maxpool(idx, r_out, x.shape)
         assert abs(r_in.sum() - r_out.sum()) <= 1e-12 * r_out.sum()
 
+    def test_fed_by_its_own_result(self):
+        # The result lives in the workspace's pool buffer, which the next call
+        # writes: a pool right before another must read its input first.
+        rng = rnd(12)
+        x = rng.normal(size=(2, 8, 8)).astype(np.float32)
+        y, idx0 = ops.maxpool_forward(x, k=2, stride=2)
+        _, idx1 = ops.maxpool_forward(y, k=2, stride=2)
+        r_out = rng.uniform(0.0, 1.0, size=idx1.shape)
+        want = lrp.lrp_maxpool(idx0, lrp.lrp_maxpool(idx1, r_out, y.shape).copy(), x.shape)
+        want = want.copy()
+        got = lrp.lrp_maxpool(idx0, lrp.lrp_maxpool(idx1, r_out, y.shape), x.shape)
+        assert got.tobytes() == want.tobytes()
+        assert got.sum() == pytest.approx(r_out.sum(), rel=1e-12)
+
 
 class TestLrpGap:
     def test_constant_channel_uniform(self):

@@ -3,6 +3,7 @@ shared between threads, freed with its pool thread, and invisible in every
 result, whatever stale values its buffers hold; and a steady-state explain
 that takes almost no fresh memory."""
 
+import dataclasses
 import gc
 import os
 import platform
@@ -18,7 +19,7 @@ import pytest
 import relprop
 from relprop import cli, lrp, ops
 from relprop.forward import run_forward
-from relprop.model import generate_toy_resnet
+from relprop.model import NodeSpec, generate_toy_resnet, validate_graph
 
 from conftest import make_sample
 
@@ -150,7 +151,8 @@ class TestPerThread:
         t = threading.Thread(target=run)
         t.start()
         t.join(timeout=60)
-        assert sizes == {"padded": 2 * 8 * 81, "cols": 0, "shares": 8 * 81, "z": 4 * 81}
+        assert sizes == {"padded": 2 * 8 * 81, "cols": 0, "shares": 8 * 81, "z": 4 * 81,
+                         "pool": 0}
 
     def test_pool_threads_release_their_workspace(self):
         def job(_):
@@ -239,3 +241,16 @@ class TestNoAliasing:
         assert all(buf.size for buf in bufs)
         for i, result in enumerate(results):
             assert not any(np.shares_memory(result, buf) for buf in bufs), i
+
+    def test_a_stem_that_opens_with_a_max_pool_returns_fresh_relevance(self):
+        # Its input relevance is the max-pool backward's, which lives in the
+        # workspace until the next max-pool backward.
+        graph = generate_toy_resnet(32, channels=4, blocks=1, num_classes=3, input_hw=8)
+        graph = dataclasses.replace(graph, stem=(NodeSpec("maxpool", k=1),) + graph.stem)
+        validate_graph(graph)
+        samples = [make_sample(graph, seed=s, hw=8) for s in (33, 34)]
+        _, state = lrp.explain(graph, samples[0])
+        first = state.current.copy()
+        assert not ops.workspace().holds(state.current)
+        lrp.explain(graph, samples[1])
+        assert state.current.tobytes() == first.tobytes()
