@@ -139,6 +139,14 @@ def _image_paths(job: JobConfig) -> list[Path]:
     return paths
 
 
+def _csv_field(text: str) -> str:
+    """RFC 4180 minimal quoting: a field that holds a comma, a double quote,
+    CR or LF is quoted, with its quotes doubled; any other is written as is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
@@ -266,7 +274,7 @@ def cmd_check_conservation(job: JobConfig) -> int:
     for path, report in results:
         for row in report.rows:
             lines.append(",".join([
-                str(path), row.checkpoint, format_float(row.sum_relevance),
+                _csv_field(str(path)), row.checkpoint, format_float(row.sum_relevance),
                 format_float(row.p_c), format_float(row.relative_deviation),
             ]))
         worst = max(worst, report.max_relative_deviation)
@@ -316,7 +324,10 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bins", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use and shared by every
+    ``main`` call, so callers must never mutate it."""
     parser = argparse.ArgumentParser(
         prog="relprop",
         description="Relevance propagation for residual CNNs with conservation "
@@ -374,8 +385,7 @@ def _configure_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         job = JobConfig.from_args(args)
         return args.fn(job)

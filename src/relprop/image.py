@@ -125,7 +125,12 @@ def write_map_csv(path: str | Path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"map must be H x W, got shape {values.shape}")
-    lines = [",".join(format_float(v) for v in row) for row in values]
+    # Format each distinct value once: a quantized map holds at most --bins of
+    # them. Keys are float64 bit patterns, so -0.0 stays apart from 0.0; the
+    # inverse is reshaped since its shape differs across numpy 2.x releases.
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([format_float(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    lines = [",".join(row) for row in texts[inverse.reshape(values.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -1,3 +1,5 @@
+import csv
+import gc
 import json
 
 import numpy as np
@@ -231,6 +233,28 @@ class TestCheckConservation:
         assert json.loads(out)["max_relative_deviation"] > 0
 
 
+    def test_audit_csv_quotes_paths_with_commas_and_quotes(self, tmp_path, capsys):
+        names = ["a,b.ppm", 'q"x.ppm', "plain.ppm"]
+        rng = np.random.default_rng(13)
+        for name in names:
+            write_ppm(tmp_path / name, rng.integers(0, 256, size=(3, 8, 8)))
+        manifest = tmp_path / "images.txt"
+        manifest.write_text("\n".join(names) + "\n")
+        code, out, _ = run_cli(["check-conservation", "--model", "toy", "--seed", "7",
+                                "--images", str(manifest), "--out", str(tmp_path / "cons")],
+                               capsys)
+        assert code == 0
+        text = (tmp_path / "cons.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert len(rows) == 1 + json.loads(out)["rows"]
+        assert all(len(row) == 5 for row in rows)
+        per_image = (len(rows) - 1) // len(names)
+        assert [row[0] for row in rows[1:]] == [
+            str(tmp_path / name) for name in names for _ in range(per_image)]
+        plain = [line for line in text.splitlines() if "plain" in line]
+        assert all(line.startswith(str(tmp_path / "plain.ppm") + ",") for line in plain)
+
+
 class TestDeterminism:
     def test_explain_twice_byte_identical(self, tmp_path, capsys):
         img = one_image(tmp_path, seed=10)
@@ -410,3 +434,54 @@ class TestDefaults:
         argv = ["explain", "--model", "toy", "--include-identity", "false", "--out", "att"]
         job = cli.JobConfig.from_args(cli.build_parser().parse_args(argv))
         assert job.rule_config == lrp.RuleConfig(include_identity=False)
+
+
+class TestSharedParser:
+    """Every cli.main call parses with one parser, built once per process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leave_few_objects_for_the_collector(self, tmp_path, capsys):
+        img = one_image(tmp_path)
+        out = str(tmp_path / "att")
+        calls = [["infer", "--model", "toy", "--image", img],
+                 ["explain", "--model", "toy", "--image", img, "--out", out],
+                 ["evaluate", "--model", "toy", "--image", img,
+                  "--attribution", out + ".csv", "--out", str(tmp_path / "ev")]]
+        for argv in calls:  # warm-up: imports, logging, the parser itself
+            assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in calls:
+                assert cli.main(argv) == 0
+            found = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert found < 50
+
+    def _explain_bytes(self, tmp_path, capsys, img, *flags):
+        out = tmp_path / "att"
+        code, stdout, _ = run_cli(["explain", "--model", "toy", "--seed", "7", "--image", img,
+                                   *flags, "--out", str(out)], capsys)
+        return code, stdout, out.with_suffix(".csv").read_bytes(), \
+            out.with_suffix(".pgm").read_bytes()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        img = one_image(tmp_path, seed=14)
+        alone = self._explain_bytes(tmp_path, capsys, img)
+        self._explain_bytes(tmp_path, capsys, img, "--rule", "epsilon", "--epsilon", "0.5",
+                            "--quantize", "off", "--bins", "3")
+        assert self._explain_bytes(tmp_path, capsys, img) == alone
+
+    def test_argparse_failure_then_valid_call(self, tmp_path, capsys):
+        img = one_image(tmp_path, seed=15)
+        alone = self._explain_bytes(tmp_path, capsys, img)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explain", "--model", "toy", "--image", img, "--rule", "bogus",
+                      "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self._explain_bytes(tmp_path, capsys, img) == alone

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from relprop import lrp
+from relprop import cli, image, lrp
 from relprop.image import (ImageFormatError, load_ppm, normalize, read_map_csv,
-                           write_attribution, write_ppm)
+                           write_attribution, write_map_csv, write_ppm)
 from relprop.model import (BadMagicError, BadTensorDtypeError, DanglingTensorNameError,
                            GraphValidationError, MissingTensorFileError,
                            NodeSpec, NonFiniteTensorError, Preprocess,
@@ -307,3 +310,52 @@ class TestWriteAttribution:
         write_attribution(self._map(raw), tmp_path / "m")
         back = read_map_csv(tmp_path / "m.csv")
         assert np.array_equal(back, raw)
+
+
+def per_cell_csv(values) -> str:
+    """The map CSV with every cell formatted on its own."""
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in values) + "\n"
+
+
+def from_bits(bits: int) -> float:
+    return np.array(bits, dtype=np.uint64).view(np.float64)[()]
+
+
+# Zeros of both signs, NaNs with other payloads and signs, infinities,
+# subnormals, and values on both sides of repr's switch to exponent notation.
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, from_bits(0xFFF8000000000000), from_bits(0x7FF0000000000001),
+                  np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 9999999999999998.0, 1e16, -1e16, 1.0000000000000002e16,
+                  0.0001, 9.999999999999999e-05, 1e-05, -0.0001, 1e-04 * (1 + 2**-52)]
+
+
+class TestWriteMapCsv:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                    max_side=6),
+                      elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL_FLOATS))))
+    @example(np.array([[0.0, -0.0, 0.0], [-0.0, np.nan, -np.inf]]))
+    @example(np.array([SPECIAL_FLOATS]))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((4, 0)))
+    def test_equals_per_cell_formatting(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "map.csv"
+        write_map_csv(path, values)
+        assert path.read_bytes() == per_cell_csv(values).encode()
+
+    def test_formats_each_distinct_value_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return repr(float(v))
+        monkeypatch.setattr(image, "format_float", counting)
+        rng = np.random.default_rng(5)
+        write_ppm(tmp_path / "img.ppm", rng.integers(0, 256, size=(3, 64, 64)))
+        assert cli.main(["explain", "--model", "toy:4,2,5,64", "--seed", "7",
+                         "--image", str(tmp_path / "img.ppm"), "--quantize", "paper",
+                         "--bins", "5", "--out", str(tmp_path / "att")]) == 0
+        capsys.readouterr()
+        values = read_map_csv(tmp_path / "att.csv")
+        assert values.shape == (64, 64)
+        assert 1 <= len(calls) <= 5
+        assert (tmp_path / "att.csv").read_text() == per_cell_csv(values)
